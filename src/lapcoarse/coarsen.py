@@ -101,19 +101,19 @@ def _cross_check(
     lap = laplacian(reduced, kind)
     scale = max(1.0, float(np.abs(lap.matrix).max()))
     lap_resid = float(np.abs(compressed - lap.matrix).max())
-    if lap_resid > TOL_REDUCED_LAPLACIAN * scale:
+    if not lap_resid <= TOL_REDUCED_LAPLACIAN * scale:
         raise ReductionMismatch(
             f"{mode} compression disagrees with the reduced-graph Laplacian "
             f"by {lap_resid:.3e}"
         )
     identity_resid = float(np.abs(down @ up - np.eye(reduced.n)).max())
-    if identity_resid > TOL_REDUCED_LAPLACIAN:
+    if not identity_resid <= TOL_REDUCED_LAPLACIAN:
         raise ReductionMismatch(
             f"down @ up deviates from the identity by {identity_resid:.3e}"
         )
     total = float(graph.masses.sum())
     mass_resid = abs(float(reduced.masses.sum()) - total)
-    if mass_resid > TOL_MASS_CONSERVATION * max(1.0, total):
+    if not mass_resid <= TOL_MASS_CONSERVATION * max(1.0, total):
         raise ReductionMismatch(
             f"coarsening changed the total mass by {mass_resid:.3e}"
         )
@@ -124,6 +124,8 @@ def _aggregate_edges(
     labels: list[str], aggregate: np.ndarray
 ) -> list[tuple[str, str, float]]:
     """Off-diagonal aggregate weights as drawn edges, tiny noise dropped."""
+    if not np.all(np.isfinite(aggregate)):
+        raise NegativeAggregateWeight("aggregated weights contain NaN or Inf")
     tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
     worst = float(aggregate.min())
     if worst < -tol:

@@ -31,7 +31,7 @@ from .errors import (
     ZOnSpectrumAxis,
 )
 from .graph import Graph, Kind, laplacian, scale_edges
-from .kernels import kernels_in, kernels_out
+from .kernels import kernels_in
 from .numerics import (
     TOL_LEMMA_EQUALITY,
     eigvals,
@@ -182,16 +182,17 @@ def gap_bound_check(
     kind = _kind(mode)
     sub = scaled_graph(cluster_set.subgraph(), cluster_set, beta)
     lap = laplacian(sub, kind).matrix
-    basis = kernels_in(graph, cluster_set) if kind == "in" else kernels_out(
-        graph, cluster_set
-    )
+    result = coarsen(graph, cluster_set, mode)
+    basis = result.basis
+    if basis is None:  # undirected coarsening keeps no basis; its kind is "in"
+        basis = kernels_in(graph, cluster_set)
     projector = riesz_from_kernels(basis)
     if z == 0:
         raise ZOnSpectrumAxis("z = 0 lies in the cluster Laplacian spectrum")
     res = _resolvent(lap, z)
     distance = weighted_opnorm(res - projector / (-z), graph.masses)
     gap = spectral_gap(lap, graph.masses)
-    full = resolvent_diff(graph, cluster_set, mode, beta, z)
+    full = resolvent_diff(graph, cluster_set, mode, beta, z, result=result)
     return GapBoundReport(beta, z, distance, gap, full)
 
 

@@ -14,9 +14,14 @@ The two families are biorthogonal and the right family is a partition of
 unity.  Out-degree kernels are obtained from the same machinery applied to
 the transposed subgraph, with the roles of the two families exchanged.
 
-Weight vectors come with two independent routes: explicit enumeration of
-spanning out-trees (exponential, guarded) and diagonal cofactors of the
-reach-restricted Laplacian-like matrix (matrix-tree route).
+The weight vector of a reach is supported on its cabal.  By the Markov
+chain tree theorem it spans the left null space of the cabal's restricted
+matrix diag(in-weights) - W, and the kernel bases compute it as that null
+vector by GTH elimination (Grassmann, Taksar and Heyman 1985): O(k^3)
+operations on k cabal nodes, free of subtraction and so componentwise
+accurate at any weight scale.  Two slower routes are kept as oracles:
+explicit enumeration of spanning out-trees (exponential, guarded) and
+diagonal cofactors of the reach-restricted matrix (matrix-tree route).
 """
 
 from __future__ import annotations
@@ -127,7 +132,9 @@ def weight_vector_matrix(graph: Graph, nodes: Iterable[str]) -> dict[str, float]
 
     Builds the matrix diag(internal in-weights) minus internal weights on
     the induced subgraph and returns, per node, the determinant of the
-    matrix with that node's row and column deleted.
+    matrix with that node's row and column deleted.  O(k^4), and the
+    determinants overflow on large heavy reaches; an oracle for the GTH
+    route of the kernel bases.
     """
     order, W = _restricted_weights(graph, nodes)
     B = np.diag(W.sum(axis=1)) - W
@@ -194,15 +201,33 @@ def _indicator_vectors(
     return np.column_stack(cols)
 
 
+def _gth_null_vector(W: np.ndarray) -> np.ndarray:
+    """Left null vector of diag(W.sum(axis=1)) - W, with entry 0 equal to 1.
+
+    ``W`` holds the nonnegative off-diagonal weights of a strongly
+    connected subgraph.  Each backward step censors the last remaining
+    node with one rank-1 update; the exit sum is taken from the weights
+    instead of from a diagonal, so no step subtracts.
+    """
+    A = W.copy()
+    for j in range(A.shape[0] - 1, 0, -1):
+        A[:j, j] /= A[j, :j].sum()
+        A[:j, :j] += np.outer(A[:j, j], A[j, :j])
+    omega = np.zeros(A.shape[0])
+    omega[0] = 1.0
+    for j in range(1, A.shape[0]):
+        omega[j] = omega[:j] @ A[:j, j]
+    return omega
+
+
 def _tree_vectors(sub: Graph, dec: ReachDecomposition) -> np.ndarray:
-    """Columns of cofactor weight vectors, each normalized to unit mass sum."""
+    """Columns of cabal tree weight vectors, each normalized to unit mass sum."""
     n = sub.n
     cols = []
     for reach in dec:
-        omega = weight_vector_matrix(sub, reach.nodes)
+        order, W = _restricted_weights(sub, reach.cabal)
         vec = np.zeros(n)
-        for v, w in omega.items():
-            vec[sub.index(v)] = w
+        vec[[sub.index(v) for v in order]] = _gth_null_vector(W)
         total = float(vec @ sub.masses)
         if not total > 0.0:
             raise KernelDefect(
@@ -226,8 +251,10 @@ def _check_basis(
     unity_resid = float(np.abs(unity.sum(axis=1) - 1.0).max())
     pair = (left * masses[:, None]).T @ right
     pair_resid = float(np.abs(pair - np.eye(pair.shape[0])).max())
-    worst = max(right_resid / scale, left_resid / scale, unity_resid, pair_resid)
-    if worst > _DEFECT_TOL:
+    worst = float(
+        np.max([right_resid / scale, left_resid / scale, unity_resid, pair_resid])
+    )
+    if not worst <= _DEFECT_TOL:
         raise KernelDefect(
             "kernel basis residual {:.3e} exceeds {:.1e} (right {:.3e}, "
             "left {:.3e}, unity {:.3e}, pairing {:.3e})".format(

@@ -39,8 +39,8 @@ def riesz_from_kernels(basis: KernelBasis) -> np.ndarray:
         / lap_scale
     )
     rank_resid = abs(float(np.trace(proj)) - basis.size)
-    worst = max(idem, annih, rank_resid)
-    if worst > _DEFECT_TOL:
+    worst = float(np.max([idem, annih, rank_resid]))
+    if not worst <= _DEFECT_TOL:
         raise ProjectorDefect(
             "projector residual {:.3e} exceeds {:.1e} (idempotency {:.3e}, "
             "annihilation {:.3e}, rank {:.3e})".format(

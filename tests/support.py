@@ -152,6 +152,23 @@ def alternating_path(k: int):
     return build_graph([(v, 1.0) for v in names], edges), cluster
 
 
+def heavy_cycle(k: int, weight: float = 1e3):
+    """Symmetric k-cycle with heavy weights plus a pendant node ``x``.
+
+    The cycle edges form the cluster; ``x`` is linked both ways to the
+    first cycle node with weight one.  Returns the graph and the cluster
+    pair list.  Large k and weight overflow any route that multiplies k
+    edge weights.
+    """
+    names = [f"c{i:03d}" for i in range(k)]
+    edges = []
+    for i in range(k):
+        edges.extend(sym(names[i], names[(i + 1) % k], weight))
+    cluster = [(s, d) for s, d, _ in edges]
+    edges.extend(sym("x", names[0]))
+    return build_graph([(v, 1.0) for v in names + ["x"]], edges), cluster
+
+
 def random_graph(
     rng: np.random.Generator,
     max_nodes: int = 8,

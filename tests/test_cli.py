@@ -201,6 +201,24 @@ def test_heat_reports_one_comparison(triangle_files, capsys):
     assert report["heat_diff"] <= 5e-3
 
 
+@pytest.fixture
+def heavy_cycle_files(tmp_path):
+    g, cluster = S.heavy_cycle(120)
+    graph = tmp_path / "heavy.json"
+    graph.write_text(serialize_graph(g))
+    edges = tmp_path / "heavy_cluster.json"
+    edges.write_text(json.dumps([{"src": s, "dst": d} for s, d in cluster]))
+    return str(graph), str(edges)
+
+
+def test_heavy_cycle_reduces_and_verifies_in_mode_in(heavy_cycle_files, capsys):
+    graph, cluster = heavy_cycle_files
+    assert main(["coarsen", graph, "--cluster-edges", cluster, "--mode", "in"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["reduced"]["edges"]) == 2
+    assert main(["verify", graph, "--cluster-edges", cluster, "--mode", "in"]) == 0
+
+
 def test_missing_files_exit_one(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "absent.json")]) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,10 +1,15 @@
 """Reduced graphs, interpolation/projection operators, probability transport."""
 
+import dataclasses
+import types
+
 import numpy as np
 import pytest
 
 import support as S
 from lapcoarse.coarsen import (
+    _aggregate_edges,
+    _cross_check,
     coarsen,
     coarsen_in,
     coarsen_out,
@@ -12,8 +17,19 @@ from lapcoarse.coarsen import (
     probability_transport_check,
 )
 from lapcoarse.connectivity import build_cluster_set
-from lapcoarse.errors import ClusterViolation, NotADistribution, NotUndirected
+from lapcoarse.errors import (
+    ClusterViolation,
+    InvariantViolation,
+    KernelDefect,
+    NegativeAggregateWeight,
+    NotADistribution,
+    NotUndirected,
+    ProjectorDefect,
+    ReductionMismatch,
+)
 from lapcoarse.graph import build_graph, laplacian
+from lapcoarse.kernels import _check_basis, kernels_in
+from lapcoarse.riesz import riesz_from_kernels
 
 
 def test_triangle_reduction_values():
@@ -160,6 +176,91 @@ def test_structural_invariants_on_random_directed_fixtures():
             assert np.abs(annihilated).max() <= 1e-10 * scale
             off = mat - np.diag(np.diag(mat))
             assert off.max(initial=0.0) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("k", [120, 400])
+def test_heavy_cycle_directed_reductions_equal_the_undirected_one(k):
+    """A reach whose tree weights overflow a product of k weights still reduces."""
+    g, cluster = S.heavy_cycle(k)
+    want = coarsen_undirected(g, build_cluster_set(g, cluster, "undirected")).reduced
+    cs = build_cluster_set(g, cluster, "directed")
+    for result in (coarsen_in(g, cs), coarsen_out(g, cs)):
+        red = result.reduced
+        assert red.nodes == want.nodes
+        assert np.allclose(red.masses, want.masses, rtol=1e-12, atol=0.0)
+        got = {(s, d): w for s, d, w in red.edges()}
+        expected = {(s, d): w for s, d, w in want.edges()}
+        assert set(got) == set(expected) and len(got) == 2
+        for edge, w in expected.items():
+            assert abs(got[edge] - w) <= 1e-12 * w
+
+
+def _nan_at(array, index):
+    out = np.array(array, dtype=float)
+    out[index] = np.nan
+    return out
+
+
+def _basis_gate(field):
+    g = S.hub_pair()
+    basis = kernels_in(g, S.hub_pair_cluster(g))
+    lap = laplacian(basis.cluster_set.subgraph(), "in").matrix
+    right, left = basis.right, basis.left
+    if field == "right":
+        right = _nan_at(right, (1, 1))
+    else:
+        left = _nan_at(left, (2, 1))
+    _check_basis(lap, g.masses, right, left, right)
+
+
+def _projector_gate():
+    g = S.hub_pair()
+    basis = kernels_in(g, S.hub_pair_cluster(g))
+    riesz_from_kernels(dataclasses.replace(basis, left=_nan_at(basis.left, (2, 1))))
+
+
+def _cross_check_gate(field):
+    g = S.triangle()
+    r = coarsen_undirected(g, S.triangle_cluster(g))
+    compressed, down = r.reduced_laplacian.matrix, r.down
+    graph = g
+    if field == "laplacian":
+        compressed = _nan_at(compressed, (0, 1))
+    elif field == "identity":
+        down = _nan_at(down, (1, 2))
+    else:
+        graph = types.SimpleNamespace(masses=_nan_at(g.masses, 0))
+    _cross_check("undirected", graph, down, r.up, r.reduced, compressed, "in")
+
+
+@pytest.mark.parametrize(
+    "gate, error",
+    [
+        (lambda: _basis_gate("right"), KernelDefect),
+        (lambda: _basis_gate("left"), KernelDefect),
+        (_projector_gate, ProjectorDefect),
+        (lambda: _cross_check_gate("laplacian"), ReductionMismatch),
+        (lambda: _cross_check_gate("identity"), ReductionMismatch),
+        (lambda: _cross_check_gate("mass"), ReductionMismatch),
+        (
+            lambda: _aggregate_edges(["p", "q"], np.array([[0.0, np.nan], [1.0, 0.0]])),
+            NegativeAggregateWeight,
+        ),
+    ],
+    ids=[
+        "basis-right",
+        "basis-left",
+        "projector",
+        "cross-check-laplacian",
+        "cross-check-identity",
+        "cross-check-mass",
+        "aggregate",
+    ],
+)
+def test_invariant_gates_fail_on_nan(gate, error):
+    assert issubclass(error, InvariantViolation)
+    with pytest.raises(error):
+        gate()
 
 
 # -- probability transport -------------------------------------------------------

@@ -1,5 +1,6 @@
 """Convergence harness: scaled ladders, resolvent and heat comparisons, gap bounds."""
 
+import importlib
 import math
 
 import numpy as np
@@ -158,6 +159,28 @@ def test_gap_bound_rejects_asymmetric_clusters_and_zero_points():
     tri = S.triangle()
     with pytest.raises(ZOnSpectrumAxis):
         gap_bound_check(tri, S.triangle_cluster(tri), "undirected", 1e2, z=0.0)
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_gap_bound_check_builds_one_kernel_basis(mode, monkeypatch):
+    g, cluster = S.heavy_cycle(8, weight=1.0)
+    cs = build_cluster_set(g, cluster, "undirected" if mode == "undirected" else "directed")
+    kernels = importlib.import_module("lapcoarse.kernels")
+    calls = []
+    for where in ("lapcoarse.coarsen", "lapcoarse.harness"):
+        module = importlib.import_module(where)
+        for name in ("kernels_in", "kernels_out"):
+            if hasattr(module, name):
+                original = getattr(kernels, name)
+                monkeypatch.setattr(
+                    module, name, lambda *a, f=original: calls.append(f) or f(*a)
+                )
+    report = gap_bound_check(g, cs, mode, 1e3)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    full = resolvent_diff(g, cs, mode, 1e3)
+    assert abs(report.full_diff - full) <= 1e-12 * full
+    assert report.is_equality
 
 
 # -- sweep -----------------------------------------------------------------------

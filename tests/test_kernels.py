@@ -1,4 +1,4 @@
-"""Weight vectors by tree enumeration and cofactors; biorthogonal kernel bases."""
+"""Weight vectors by tree enumeration, cofactors and GTH; biorthogonal kernel bases."""
 
 import numpy as np
 import pytest
@@ -8,6 +8,7 @@ from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ReachTooLargeForEnumeration
 from lapcoarse.graph import build_graph, laplacian, transpose
 from lapcoarse.kernels import (
+    _tree_vectors,
     kernels_in,
     kernels_out,
     left_kernel_in,
@@ -15,7 +16,7 @@ from lapcoarse.kernels import (
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import principal_angle_gap, svd_nullspace
+from lapcoarse.numerics import TOL_WEIGHT_VECTOR, principal_angle_gap, svd_nullspace
 
 
 def reach_by_root(graph, root):
@@ -119,6 +120,42 @@ def test_matrix_route_matches_enumeration_on_random_graphs():
         for reach in reaches(g):
             brute = weight_vector_bruteforce(g, reach.nodes)
             assert_parallel(weight_vector_matrix(g, reach.nodes), brute, rel=1e-10)
+
+
+def wide_weight_graphs(count: int, seed: int):
+    """Random digraphs with edge weights log-uniform on 1e-8..1e8."""
+    rng = np.random.default_rng(seed)
+    graphs = []
+    for _ in range(count):
+        g = S.random_graph(rng, max_nodes=9)
+        edges = [(s, d, float(10.0 ** rng.uniform(-8, 8))) for s, d, _ in g.edges()]
+        graphs.append(build_graph(zip(g.nodes, g.masses.tolist()), edges))
+    return graphs
+
+
+@pytest.mark.parametrize("kind", ["in", "out"])
+def test_tree_vectors_match_enumeration_componentwise(kind):
+    """Kernel tree vectors equal normalized enumerated weights, entry by entry."""
+    graphs = [S.branching_chain(), S.braided_chain(), S.hub_pair(), S.clique(5)]
+    for g in graphs + wide_weight_graphs(60, 11):
+        cs = build_cluster_set(g, list(g.edge_pairs()), "directed")
+        if kind == "in":
+            trees = cs.subgraph()
+            basis = kernels_in(g, cs)
+            dec, vectors = basis.decomposition, basis.left
+        else:
+            # kernels_out's right vectors, skipping its common-block LU solve,
+            # which can reject weights this wide (a separate, known limit)
+            trees = transpose(cs.subgraph())
+            dec = reaches(trees)
+            vectors = _tree_vectors(trees, dec)
+        for k, reach in enumerate(dec):
+            brute = weight_vector_bruteforce(trees, reach.nodes)
+            total = sum(w * g.masses[g.index(v)] for v, w in brute.items())
+            got = vectors[:, k]
+            for v in g.nodes:
+                want = brute.get(v, 0.0) / total
+                assert abs(got[g.index(v)] - want) <= TOL_WEIGHT_VECTOR * want
 
 
 # -- kernel bases ----------------------------------------------------------------
