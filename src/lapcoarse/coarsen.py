@@ -132,16 +132,15 @@ def _aggregate_edges(
         raise NegativeAggregateWeight(
             f"aggregated weight {worst!r} is negative beyond round-off"
         )
-    edges = []
-    k = len(labels)
-    for r in range(k):
-        for s in range(k):
-            if r == s:
-                continue
-            w = float(aggregate[r, s])
-            if w > tol:
-                edges.append((labels[s], labels[r], w))
-    return edges
+    mask = aggregate > tol
+    np.fill_diagonal(mask, False)
+    heads, tails = np.nonzero(mask)
+    return [
+        (labels[s], labels[r], w)
+        for r, s, w in zip(
+            heads.tolist(), tails.tolist(), aggregate[heads, tails].tolist()
+        )
+    ]
 
 
 def coarsen_undirected(graph: Graph, cluster_set: ClusterSet) -> CoarseningResult:

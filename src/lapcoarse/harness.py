@@ -33,6 +33,7 @@ from .errors import (
 from .graph import Graph, Kind, laplacian, scale_edges
 from .kernels import kernels_in
 from .numerics import (
+    EPS,
     TOL_LEMMA_EQUALITY,
     eigvals,
     inverse,
@@ -67,13 +68,44 @@ def scaled_graph(graph: Graph, cluster_set: ClusterSet, beta: float) -> Graph:
     return scale_edges(graph, cluster_set.total_edges, beta)
 
 
-def _guard_z(matrix: np.ndarray, z: complex) -> None:
+def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) -> float:
+    """Lower bound on the distance from ``z`` to the spectrum of ``matrix``.
+
+    The row disks of ``matrix`` and the column disks of the similar matrix
+    ``M matrix M^-1`` each enclose the spectrum, so each gives a bound; the
+    larger is kept, less a rounding slack of
+    ``2 n eps (max centre + max radius + |z|)`` so that it is never
+    optimistic.  The disks of an in-Laplacian (rows) and of an
+    out-Laplacian (mass-similar columns) touch 0 and lie in Re >= 0, so
+    for Re z < 0 the bound is at least |Re z| less the slack.
+    """
+    mags = np.abs(matrix)
+    centres = np.diagonal(mags)
+    rows = mags.sum(axis=1) - centres
+    cols = (masses @ mags) / masses - centres
+    offsets = np.abs(np.diagonal(matrix) - z)
+    bound = max(np.min(offsets - rows), np.min(offsets - cols))
+    radius = max(rows.max(), cols.max())
+    slack = 2 * len(mags) * EPS * (centres.max() + radius + abs(z))
+    return float(bound - slack)
+
+
+def _guard_z(matrix: np.ndarray, masses: np.ndarray, z: complex) -> None:
+    """Raise ZOnSpectrumAxis when ``z`` comes within clearance of the spectrum.
+
+    ``z`` must keep ``_Z_CLEARANCE`` from the nonnegative real axis and from
+    every eigenvalue of ``matrix``, a Laplacian with node ``masses``.  The
+    Gershgorin bound settles the common case (every Re z < 0) in O(n^2);
+    only when it does not clear ``z`` are the eigenvalues computed.
+    """
     zc = complex(z)
     axis_dist = abs(zc.imag) if zc.real >= 0 else abs(zc)
     if axis_dist < _Z_CLEARANCE:
         raise ZOnSpectrumAxis(
             f"z = {z!r} lies on the nonnegative real axis"
         )
+    if _gershgorin_clearance(matrix, masses, zc) >= _Z_CLEARANCE:
+        return
     clearance = float(np.abs(eigvals(matrix) - zc).min())
     if clearance < _Z_CLEARANCE:
         raise ZOnSpectrumAxis(
@@ -81,8 +113,8 @@ def _guard_z(matrix: np.ndarray, z: complex) -> None:
         )
 
 
-def _resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
-    _guard_z(matrix, z)
+def _resolvent(matrix: np.ndarray, masses: np.ndarray, z: complex) -> np.ndarray:
+    _guard_z(matrix, masses, z)
     eye = np.eye(matrix.shape[0])
     shifted = matrix - z * eye
     if np.iscomplexobj(shifted):
@@ -102,8 +134,8 @@ def resolvent_diff(
     if result is None:
         result = coarsen(graph, cluster_set, mode)
     scaled = scaled_graph(graph, cluster_set, beta)
-    full = _resolvent(laplacian(scaled, _kind(mode)).matrix, z)
-    red = _resolvent(result.reduced_laplacian.matrix, z)
+    full = _resolvent(laplacian(scaled, _kind(mode)).matrix, graph.masses, z)
+    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
     diff = full - result.up @ red @ result.down
     return weighted_opnorm(diff, graph.masses)
 
@@ -189,7 +221,7 @@ def gap_bound_check(
     projector = riesz_from_kernels(basis)
     if z == 0:
         raise ZOnSpectrumAxis("z = 0 lies in the cluster Laplacian spectrum")
-    res = _resolvent(lap, z)
+    res = _resolvent(lap, graph.masses, z)
     distance = weighted_opnorm(res - projector / (-z), graph.masses)
     gap = spectral_gap(lap, graph.masses)
     full = resolvent_diff(graph, cluster_set, mode, beta, z, result=result)
@@ -253,39 +285,27 @@ def sweep(
         notes.append("custom cluster scaling in effect: no rate guarantee")
     result = coarsen(graph, cluster_set, mode)
     kind = _kind(mode)
-    red = _resolvent(result.reduced_laplacian.matrix, z)
+    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
     lifted = result.up @ red @ result.down
+    try:
+        # the cluster subgraph's Laplacian scales exactly with the multiplier
+        sub_lap = laplacian(cluster_set.subgraph(), kind).matrix
+        gap: float | None = spectral_gap(sub_lap, graph.masses)
+    except NotSymmetrizable:
+        gap = None
+        notes.append("cluster subgraph is not mass-symmetrizable; gaps omitted")
     diffs: list[float] = []
-    gaps: list[float] | None = []
+    multipliers: list[float] = []
     for beta in ladder:
         multiplier = float(cluster_scale(beta)) if cluster_scale else beta
         if not (multiplier > 0) or not np.isfinite(multiplier):
             raise NonPositiveWeight(
                 f"cluster scale produced a non-positive multiplier {multiplier!r}"
             )
+        multipliers.append(multiplier)
         scaled = scale_edges(graph, cluster_set.total_edges, multiplier)
-        full = _resolvent(laplacian(scaled, kind).matrix, z)
+        full = _resolvent(laplacian(scaled, kind).matrix, graph.masses, z)
         diffs.append(weighted_opnorm(full - lifted, graph.masses))
-        if gaps is not None:
-            try:
-                gaps.append(
-                    spectral_gap(
-                        laplacian(
-                            scale_edges(
-                                cluster_set.subgraph(),
-                                cluster_set.total_edges,
-                                multiplier,
-                            ),
-                            kind,
-                        ).matrix,
-                        graph.masses,
-                    )
-                )
-            except NotSymmetrizable:
-                gaps = None
-                notes.append(
-                    "cluster subgraph is not mass-symmetrizable; gaps omitted"
-                )
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         notes.append("resolvent differences are not monotone along the ladder")
     usable = [i for i, d in enumerate(diffs) if d > _UNDERFLOW]
@@ -313,6 +333,6 @@ def sweep(
         tuple(ladder),
         tuple(diffs),
         slope,
-        None if gaps is None else tuple(gaps),
+        None if gap is None else tuple(gap * m for m in multipliers),
         tuple(notes),
     )

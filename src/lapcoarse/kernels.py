@@ -190,9 +190,12 @@ def _indicator_vectors(
         C = [index[v] for v in sorted(reach.common)]
         vec[H] = 1.0
         if C:
-            rhs = -matrix[np.ix_(C, H)] @ np.ones(len(H))
+            # dividing each row by the block's diagonal leaves the solution
+            # unchanged and keeps the pivots independent of the weight scale
+            diag = np.diagonal(matrix)[C, np.newaxis]
+            rhs = -(matrix[np.ix_(C, H)] / diag) @ np.ones(len(H))
             try:
-                vec[C] = solve(matrix[np.ix_(C, C)], rhs)
+                vec[C] = solve(matrix[np.ix_(C, C)] / diag, rhs)
             except SingularMatrix as exc:
                 raise SingularCommonBlock(
                     f"common block of reach {reach.label!r} is singular"

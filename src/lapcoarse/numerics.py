@@ -98,15 +98,19 @@ def inverse(a) -> np.ndarray:
 def weighted_opnorm(a, masses) -> float:
     """Operator 2-norm of ``a`` on the mass-weighted space l2(m).
 
-    Equal to the largest singular value of ``M^(1/2) a M^(-1/2)``.
+    Equal to the largest singular value of ``sym = M^(1/2) a M^(-1/2)``,
+    taken as the square root of the top eigenvalue of the Gram matrix
+    ``sym^H sym`` (relative accuracy eps, at the cost of one symmetric
+    eigensolve instead of a full SVD).  ``sym`` is first divided by its
+    largest entry, so the Gram matrix neither overflows nor underflows.
     """
-    a = _as_matrix(a)
-    m = np.asarray(masses, dtype=float)
-    if a.shape[0] == 0:
+    sym = mass_symmetrize(a, masses)
+    scale = float(np.max(np.abs(sym), initial=0.0))
+    if scale == 0.0:
         return 0.0
-    s = np.sqrt(m)
-    sym = (a * (1.0 / s)[np.newaxis, :]) * s[:, np.newaxis]
-    return float(np.linalg.svd(sym, compute_uv=False)[0])
+    sym = sym / scale
+    top = float(np.linalg.eigvalsh(sym.conj().T @ sym)[-1])
+    return scale * float(np.sqrt(max(top, 0.0)))
 
 
 def mass_symmetrize(a, masses) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Reduced graphs, interpolation/projection operators, probability transport."""
 
 import dataclasses
+import importlib
 import types
 
 import numpy as np
@@ -176,6 +177,39 @@ def test_structural_invariants_on_random_directed_fixtures():
             assert np.abs(annihilated).max() <= 1e-10 * scale
             off = mat - np.diag(np.diag(mat))
             assert off.max(initial=0.0) <= 1e-12 * scale
+
+
+def aggregate_edges_by_loop(labels, aggregate):
+    """Reference edge list: every off-diagonal entry above the noise floor."""
+    tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
+    edges = []
+    for r in range(len(labels)):
+        for s in range(len(labels)):
+            if r != s and float(aggregate[r, s]) > tol:
+                edges.append((labels[s], labels[r], float(aggregate[r, s])))
+    return edges
+
+
+def test_aggregated_edges_match_the_entrywise_loop(monkeypatch):
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(15):
+        g = S.random_graph(rng, undirected=True)
+        cs = build_cluster_set(g, S.random_cluster_pairs(rng, g, undirected=True), "undirected")
+        cases.append((g, cs, "undirected"))
+        g = S.random_graph(rng)
+        cs = build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed")
+        cases += [(g, cs, "in"), (g, cs, "out")]
+    reduced = [coarsen(g, cs, mode).reduced for g, cs, mode in cases]
+    module = importlib.import_module("lapcoarse.coarsen")
+    monkeypatch.setattr(module, "_aggregate_edges", aggregate_edges_by_loop)
+    for (g, cs, mode), want in zip(cases, reduced):
+        assert coarsen(g, cs, mode).reduced == want
+    aggregate = rng.uniform(0.0, 2.0, size=(6, 6))
+    aggregate[aggregate < 0.7] = 0.0
+    aggregate[0, 1] = 1e-13
+    labels = list("abcdef")
+    assert _aggregate_edges(labels, aggregate) == aggregate_edges_by_loop(labels, aggregate)
 
 
 @pytest.mark.parametrize("k", [120, 400])

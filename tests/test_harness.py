@@ -16,15 +16,16 @@ from lapcoarse.errors import (
     NotSymmetrizable,
     ZOnSpectrumAxis,
 )
-from lapcoarse.graph import build_graph
+from lapcoarse.graph import build_graph, laplacian, scale_edges
 from lapcoarse.harness import (
+    _gershgorin_clearance,
     gap_bound_check,
     heat_diff,
     resolvent_diff,
     scaled_graph,
     sweep,
 )
-from lapcoarse.numerics import weighted_opnorm
+from lapcoarse.numerics import spectral_gap, weighted_opnorm
 
 LADDER = [1e1, 1e2, 1e3, 1e4]
 
@@ -94,6 +95,58 @@ def test_resolvent_point_must_avoid_the_nonnegative_real_axis():
         with pytest.raises(ZOnSpectrumAxis):
             resolvent_diff(g, cs, "undirected", 1e2, z=bad)
     assert resolvent_diff(g, cs, "undirected", 1e2, z=1j) > 0.0
+
+
+# -- z-guard ------------------------------------------------------------------------
+
+
+def count_eigvals(monkeypatch):
+    harness = importlib.import_module("lapcoarse.harness")
+    calls = []
+    original = harness.eigvals
+    monkeypatch.setattr(harness, "eigvals", lambda a: calls.append(a) or original(a))
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["in", "out"])
+def test_gershgorin_clearance_never_exceeds_the_eigenvalue_clearance(kind):
+    rng = np.random.default_rng(53)
+    for _ in range(30):
+        g = S.random_graph(rng, max_nodes=10)
+        for beta in (1.0, 1e3, 1e6):
+            mat = beta * laplacian(g, kind).matrix
+            eigs = np.linalg.eigvals(mat)
+            slack = 1e-9 * max(1.0, float(np.abs(mat).max()))
+            for z in (-1.0, -1e-3, -5.0, 1j, 0.5 + 2j, 3.0 + 0.1j, 1e3 - 1e2j):
+                bound = _gershgorin_clearance(mat, g.masses, z)
+                assert bound <= float(np.abs(eigs - z).min()) + slack
+                if z.real < 0 and z.imag == 0:
+                    assert bound >= abs(z) / 2
+
+
+def test_z_near_a_complex_eigenvalue_falls_back_to_the_eigensolve(monkeypatch):
+    g = build_graph(
+        [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)],
+    )
+    cs = build_cluster_set(g, [], "directed")
+    eigs = np.linalg.eigvals(laplacian(g, "in").matrix)
+    lam = complex(eigs[np.argmax(eigs.imag)])
+    assert lam.imag > 0.5
+    calls = count_eigvals(monkeypatch)
+    with pytest.raises(ZOnSpectrumAxis):
+        resolvent_diff(g, cs, "in", 1.0, z=lam + 1e-13j)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_sweep_at_negative_z_runs_no_eigensolve(mode, monkeypatch):
+    g, cluster = S.heavy_cycle(8, weight=1.0)
+    cs = build_cluster_set(g, cluster, "undirected" if mode == "undirected" else "directed")
+    calls = count_eigvals(monkeypatch)
+    report = sweep(g, cs, mode, [1e3, 1e4, 1e5, 1e6])
+    assert calls == []
+    assert report.fitted_slope is not None
 
 
 # -- heat differences -------------------------------------------------------------
@@ -199,6 +252,25 @@ def test_sweep_on_the_triangle_fits_the_expected_rate():
     for gap, beta in zip(report.gap_values, report.betas):
         assert abs(gap - 2 * beta) <= 1e-9 * beta
     assert all(b < a for a, b in zip(report.diffs, report.diffs[1:]))
+
+
+@pytest.mark.parametrize("scale", [None, math.sqrt])
+def test_sweep_gaps_equal_the_gaps_of_the_scaled_subgraph(scale):
+    rng = np.random.default_rng(59)
+    cases = [(S.triangle(), S.TRIANGLE_CLUSTER, "undirected")]
+    for _ in range(8):
+        g = S.random_graph(rng, undirected=True)
+        cases.append((g, S.random_cluster_pairs(rng, g, undirected=True), "undirected"))
+    g, cluster = S.heavy_cycle(8, weight=1.0)
+    cases += [(g, cluster, "in"), (g, cluster, "out")]
+    for g, pairs, mode in cases:
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        report = sweep(g, cs, mode, LADDER, cluster_scale=scale)
+        kind = "out" if mode == "out" else "in"
+        for beta, gap in zip(report.betas, report.gap_values):
+            sub = scale_edges(cs.subgraph(), cs.total_edges, scale(beta) if scale else beta)
+            want = spectral_gap(laplacian(sub, kind).matrix, g.masses)
+            assert abs(gap - want) <= 1e-12 * want
 
 
 def test_sweep_omits_gaps_for_asymmetric_clusters():

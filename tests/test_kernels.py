@@ -8,7 +8,6 @@ from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ReachTooLargeForEnumeration
 from lapcoarse.graph import build_graph, laplacian, transpose
 from lapcoarse.kernels import (
-    _tree_vectors,
     kernels_in,
     kernels_out,
     left_kernel_in,
@@ -144,11 +143,9 @@ def test_tree_vectors_match_enumeration_componentwise(kind):
             basis = kernels_in(g, cs)
             dec, vectors = basis.decomposition, basis.left
         else:
-            # kernels_out's right vectors, skipping its common-block LU solve,
-            # which can reject weights this wide (a separate, known limit)
             trees = transpose(cs.subgraph())
-            dec = reaches(trees)
-            vectors = _tree_vectors(trees, dec)
+            basis = kernels_out(g, cs)
+            dec, vectors = basis.decomposition, basis.right
         for k, reach in enumerate(dec):
             brute = weight_vector_bruteforce(trees, reach.nodes)
             total = sum(w * g.masses[g.index(v)] for v, w in brute.items())
@@ -156,6 +153,17 @@ def test_tree_vectors_match_enumeration_componentwise(kind):
             for v in g.nodes:
                 want = brute.get(v, 0.0) / total
                 assert abs(got[g.index(v)] - want) <= TOL_WEIGHT_VECTOR * want
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
+def test_common_blocks_solve_at_any_weight_scale(seed):
+    """Interpolation values on common parts are probabilities, however wide the weights."""
+    for g in wide_weight_graphs(60, seed):
+        cs = build_cluster_set(g, list(g.edge_pairs()), "directed")
+        for basis in (kernels_in(g, cs), kernels_out(g, cs)):
+            indicators = basis.right if basis.kind == "in" else basis.left
+            assert indicators.min() >= -1e-12
+            assert indicators.max() <= 1.0 + 1e-12
 
 
 # -- kernel bases ----------------------------------------------------------------

@@ -101,6 +101,21 @@ def test_opnorm_of_rank_one_matrix_matches_closed_form():
         assert abs(norm - expected) <= 1e-12 * expected
 
 
+def test_opnorm_matches_the_largest_singular_value_at_any_scale():
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(1, 40))
+        m = rng.uniform(0.1, 10.0, size=n)
+        a = rng.normal(size=(n, n))
+        if rng.random() < 0.5:
+            a = a + 1j * rng.normal(size=(n, n))
+        for scale in (1.0, 1e-200, 1e150):
+            sym = mass_symmetrize(scale * a, m)
+            want = np.linalg.svd(sym, compute_uv=False)[0]
+            assert abs(weighted_opnorm(scale * a, m) - want) <= 1e-13 * want
+    assert weighted_opnorm(np.zeros((4, 4)), np.ones(4)) == 0.0
+
+
 def test_projector_opnorm_is_at_least_one():
     p = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
     assert weighted_opnorm(p, np.ones(3)) >= 1.0
