@@ -11,9 +11,6 @@ from .coarsen import (
     CoarseningResult,
     TransportReport,
     coarsen,
-    coarsen_in,
-    coarsen_out,
-    coarsen_undirected,
     probability_transport_check,
 )
 from .connectivity import (
@@ -94,9 +91,6 @@ __all__ = [
     "build_cluster_set",
     "build_graph",
     "coarsen",
-    "coarsen_in",
-    "coarsen_out",
-    "coarsen_undirected",
     "connected_components",
     "degrees",
     "dirichlet_form",

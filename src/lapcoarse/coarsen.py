@@ -1,15 +1,17 @@
 """Graph coarsening along a cluster set.
 
-Contracting the clusters of an edge subset produces a reduced graph
-together with restriction (down) and prolongation (up) operators.  Three
-modes are provided:
+Contracting the reaches of a cluster edge subset produces a reduced graph
+together with restriction (down) and prolongation (up) operators.  One
+assembly builds them from a kernel basis of the cluster-subgraph
+Laplacian, and the mode picks the basis builder:
 
-* ``undirected``: clusters are the connected components of a symmetric
-  cluster edge set; down averages by mass, up copies values.
-* ``in``: clusters are the reaches of the directed cluster subgraph; the
-  operators are built from the in-degree kernel basis.
-* ``out``: same with the out-degree kernel basis on the transposed
-  cluster subgraph.
+* ``undirected``: :func:`kernels_undirected`, the closed-form in-degree
+  basis of a symmetric cluster edge set whose reaches are its connected
+  components; down averages by mass, up copies values.
+* ``in``: :func:`kernels_in`, the in-degree basis of the reaches of the
+  directed cluster subgraph.
+* ``out``: :func:`kernels_out`, the out-degree basis built on the
+  transposed cluster subgraph.
 
 In every mode the operators satisfy down @ up = identity and
 up @ down = Riesz projector of the cluster subgraph, total mass is
@@ -32,12 +34,12 @@ from .errors import (
     ClusterViolation,
     NegativeAggregateWeight,
     NotADistribution,
-    NotUndirected,
     ReductionMismatch,
 )
-from .graph import Graph, LaplacianMatrix, build_graph, is_undirected, laplacian
-from .kernels import KernelBasis, kernels_in, kernels_out
+from .graph import Graph, LaplacianMatrix, build_graph, laplacian
+from .kernels import KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
+    TOL_DISTRIBUTION,
     TOL_MASS_CONSERVATION,
     TOL_REDUCED_LAPLACIAN,
 )
@@ -46,15 +48,10 @@ __all__ = [
     "CoarseningResult",
     "TransportReport",
     "coarsen",
-    "coarsen_in",
-    "coarsen_out",
-    "coarsen_undirected",
     "probability_transport_check",
 ]
 
 CoarsenMode = Literal["undirected", "in", "out"]
-
-_DISTRIBUTION_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,7 +62,8 @@ class CoarseningResult:
     reduced graph (k x n), ``up`` goes the other way (n x k).  Reduced
     node ids join the sorted member ids with ``+``; ``node_map`` lists the
     members of each reduced node (reaches may share common nodes, so the
-    member tuples of the directed modes can overlap).
+    member tuples of the directed modes can overlap).  ``basis`` is the
+    kernel basis the operators were built from.
     """
 
     mode: CoarsenMode
@@ -75,18 +73,23 @@ class CoarseningResult:
     down: np.ndarray
     up: np.ndarray
     reduced_laplacian: LaplacianMatrix
-    projector: np.ndarray
     node_map: dict[str, tuple[str, ...]]
-    basis: KernelBasis | None = None
+    basis: KernelBasis
 
     def __post_init__(self) -> None:
         self.down.setflags(write=False)
         self.up.setflags(write=False)
-        self.projector.setflags(write=False)
 
     @property
     def size(self) -> int:
         return self.reduced.n
+
+    @property
+    def projector(self) -> np.ndarray:
+        """Riesz projector up @ down (n x n), computed on each access."""
+        proj = self.up @ self.down
+        proj.setflags(write=False)
+        return proj
 
 
 def _cross_check(
@@ -124,7 +127,7 @@ def _aggregate_edges(
     labels: list[str], aggregate: np.ndarray
 ) -> list[tuple[str, str, float]]:
     """Off-diagonal aggregate weights as drawn edges, tiny noise dropped."""
-    if not np.all(np.isfinite(aggregate)):
+    if not np.isfinite(aggregate).all():
         raise NegativeAggregateWeight("aggregated weights contain NaN or Inf")
     tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
     worst = float(aggregate.min())
@@ -143,60 +146,14 @@ def _aggregate_edges(
     ]
 
 
-def coarsen_undirected(graph: Graph, cluster_set: ClusterSet) -> CoarseningResult:
-    """Contract the components of a symmetric cluster edge set.
-
-    Requires an undirected-mode cluster set whose paired edges carry equal
-    weights.  Every node outside the clusters becomes its own reduced
-    node.
-    """
-    if cluster_set.mode != "undirected":
-        raise ClusterViolation(
-            "undirected coarsening needs an undirected-mode cluster set"
-        )
-    if not is_undirected(graph):
-        raise NotUndirected("undirected coarsening needs symmetric weights")
-    components = [sorted(r.nodes) for r in cluster_set.decomposition]
-    labels = ["+".join(c) for c in components]
-    n, k = graph.n, len(components)
-    up = np.zeros((n, k))
-    for col, members in enumerate(components):
-        for v in members:
-            up[graph.index(v), col] = 1.0
-    coarse_mass = up.T @ graph.masses
-    down = (up * graph.masses[:, None]).T / coarse_mass[:, None]
-    background = cluster_set.background()
-    aggregate = up.T @ background.weights @ up
-    reduced = build_graph(
-        zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
-    )
-    compressed = down @ laplacian(background, "in").matrix @ up
-    perm = _label_permutation(labels, reduced)
-    down, up = down[perm], up[:, perm]
-    compressed = compressed[np.ix_(perm, perm)]
-    lap = _cross_check("undirected", graph, down, up, reduced, compressed, "in")
-    node_map = {labels[p]: tuple(components[p]) for p in perm}
-    return CoarseningResult(
-        "undirected",
-        graph,
-        cluster_set,
-        reduced,
-        down,
-        up,
-        lap,
-        up @ down,
-        node_map,
-    )
-
-
 def _label_permutation(labels: list[str], reduced: Graph) -> list[int]:
     """Positions of the reduced graph's (sorted) node ids inside ``labels``."""
     where = {label: pos for pos, label in enumerate(labels)}
     return [where[v] for v in reduced.nodes]
 
 
-def _coarsen_directed(
-    graph: Graph, cluster_set: ClusterSet, basis: KernelBasis
+def _assemble(
+    mode: CoarsenMode, graph: Graph, cluster_set: ClusterSet, basis: KernelBasis
 ) -> CoarseningResult:
     kind = basis.kind
     right, left = basis.right, basis.left
@@ -204,12 +161,12 @@ def _coarsen_directed(
     if kind == "in":
         coarse_mass = right.T @ masses
         down = (left * masses[:, None]).T
-        up = right.copy()
+        up = right
     else:
         coarse_mass = left.T @ masses
         down = (left * masses[:, None]).T / coarse_mass[:, None]
         up = right * coarse_mass[None, :]
-    if not np.all(coarse_mass > 0.0):
+    if not (coarse_mass > 0.0).all():
         raise ReductionMismatch("a reduced node received non-positive mass")
     background = cluster_set.background()
     pairing = (left.T @ background.weights) @ right
@@ -217,56 +174,40 @@ def _coarsen_directed(
         aggregate = coarse_mass[:, None] * pairing
     else:
         aggregate = pairing * coarse_mass[None, :]
-    labels = [r.label for r in basis.decomposition]
+    members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
+    labels = list(members)
     reduced = build_graph(
         zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
     )
     compressed = down @ laplacian(background, kind).matrix @ up
     perm = _label_permutation(labels, reduced)
     down, up = down[perm], up[:, perm]
-    compressed = compressed[np.ix_(perm, perm)]
-    lap = _cross_check(kind, graph, down, up, reduced, compressed, kind)
-    members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
+    compressed = compressed[perm][:, perm]
+    lap = _cross_check(mode, graph, down, up, reduced, compressed, kind)
     node_map = {label: members[label] for label in reduced.nodes}
     return CoarseningResult(
-        kind,
-        graph,
-        cluster_set,
-        reduced,
-        down,
-        up,
-        lap,
-        up @ down,
-        node_map,
-        basis,
+        mode, graph, cluster_set, reduced, down, up, lap, node_map, basis
     )
 
 
-def _require_directed(cluster_set: ClusterSet, what: str) -> None:
-    if cluster_set.mode != "directed":
-        raise ClusterViolation(f"{what} coarsening needs a directed-mode cluster set")
-
-
-def coarsen_in(graph: Graph, cluster_set: ClusterSet) -> CoarseningResult:
-    """Contract the reaches of the cluster subgraph, in-degree form."""
-    _require_directed(cluster_set, "in-degree")
-    return _coarsen_directed(graph, cluster_set, kernels_in(graph, cluster_set))
-
-
-def coarsen_out(graph: Graph, cluster_set: ClusterSet) -> CoarseningResult:
-    """Contract the reaches of the transposed cluster subgraph, out-degree form."""
-    _require_directed(cluster_set, "out-degree")
-    return _coarsen_directed(graph, cluster_set, kernels_out(graph, cluster_set))
-
-
 def coarsen(graph: Graph, cluster_set: ClusterSet, mode: CoarsenMode) -> CoarseningResult:
+    """Contract the reaches of the cluster set with the kernel basis of ``mode``.
+
+    Mode ``undirected`` needs an undirected-mode cluster set and symmetric
+    weights; modes ``in`` and ``out`` need a directed-mode cluster set.
+    Every node outside the clusters becomes its own reduced node.
+    """
     if mode == "undirected":
-        return coarsen_undirected(graph, cluster_set)
-    if mode == "in":
-        return coarsen_in(graph, cluster_set)
-    if mode == "out":
-        return coarsen_out(graph, cluster_set)
-    raise ValueError(f"mode must be 'undirected', 'in' or 'out', got {mode!r}")
+        basis = kernels_undirected(graph, cluster_set)
+    elif mode not in ("in", "out"):
+        raise ValueError(f"mode must be 'undirected', 'in' or 'out', got {mode!r}")
+    elif cluster_set.mode != "directed":
+        raise ClusterViolation(f"{mode}-degree coarsening needs a directed-mode cluster set")
+    elif mode == "in":
+        basis = kernels_in(graph, cluster_set)
+    else:
+        basis = kernels_out(graph, cluster_set)
+    return _assemble(mode, graph, cluster_set, basis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -309,10 +250,10 @@ def probability_transport_check(
         raise NotADistribution(
             f"distribution has shape {f.shape}, expected {source.shape}"
         )
-    if float(f.min(initial=0.0)) < -_DISTRIBUTION_TOL:
+    if float(f.min(initial=0.0)) < -TOL_DISTRIBUTION:
         raise NotADistribution("distribution has a negative entry")
     total = float(f @ source)
-    if abs(total - 1.0) > _DISTRIBUTION_TOL:
+    if abs(total - 1.0) > TOL_DISTRIBUTION:
         raise NotADistribution(
             f"distribution has mass-weighted total {total!r}, expected 1"
         )

@@ -110,10 +110,6 @@ class SingularCommonBlock(SingularMatrix):
     """The common-part block of a cluster Laplacian was singular."""
 
 
-class SingularRestriction(SingularMatrix):
-    """Every cofactor of a reach-restricted Laplacian vanished."""
-
-
 class KernelDefect(InvariantViolation):
     """A computed kernel vector failed its residual or range checks."""
 

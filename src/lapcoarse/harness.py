@@ -31,7 +31,6 @@ from .errors import (
     ZOnSpectrumAxis,
 )
 from .graph import Graph, Kind, laplacian, scale_edges
-from .kernels import kernels_in
 from .numerics import (
     EPS,
     TOL_LEMMA_EQUALITY,
@@ -215,10 +214,7 @@ def gap_bound_check(
     sub = scaled_graph(cluster_set.subgraph(), cluster_set, beta)
     lap = laplacian(sub, kind).matrix
     result = coarsen(graph, cluster_set, mode)
-    basis = result.basis
-    if basis is None:  # undirected coarsening keeps no basis; its kind is "in"
-        basis = kernels_in(graph, cluster_set)
-    projector = riesz_from_kernels(basis)
+    projector = riesz_from_kernels(result.basis)
     if z == 0:
         raise ZOnSpectrumAxis("z = 0 lies in the cluster Laplacian spectrum")
     res = _resolvent(lap, graph.masses, z)

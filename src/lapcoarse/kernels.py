@@ -2,22 +2,28 @@
 
 For a subset of edges organized as a cluster set, the in-degree Laplacian
 of the cluster subgraph has kernel dimension equal to the number of
-reaches.  This module builds two distinguished bases of that kernel and of
-the corresponding left kernel (with respect to the mass inner product):
+reaches.  A kernel basis pairs right kernel vectors with left kernel
+vectors (with respect to the mass inner product), one of each per reach;
+the two families are biorthogonal, and coarsening assembles its transfer
+operators from them.  Three builders produce one:
 
-* right vectors: 1 on the exclusive part of a reach, 0 off the reach, and
-  the unique interpolating values on the common part;
-* left vectors: spanning-out-tree weight vectors supported on the cabal,
-  normalized to unit mass pairing.
-
-The two families are biorthogonal and the right family is a partition of
-unity.  Out-degree kernels are obtained from the same machinery applied to
-the transposed subgraph, with the roles of the two families exchanged.
+* :func:`kernels_in`: right vectors are 1 on the exclusive part of a
+  reach, 0 off the reach, and the unique interpolating values on the
+  common part; left vectors are spanning-out-tree weight vectors
+  supported on the cabal, normalized to unit mass pairing.  The right
+  family is a partition of unity.
+* :func:`kernels_out`: the same machinery applied to the transposed
+  subgraph, with the roles of the two families exchanged.
+* :func:`kernels_undirected`: the in-degree basis of a symmetric cluster
+  edge set in closed form.  Its reaches are connected components, the
+  right vectors are their indicators and, since symmetric weights make
+  every tree weight vector constant on its component, the left vectors
+  are the indicators divided by the component mass.
 
 The weight vector of a reach is supported on its cabal.  By the Markov
 chain tree theorem it spans the left null space of the cabal's restricted
-matrix diag(in-weights) - W, and the kernel bases compute it as that null
-vector by GTH elimination (Grassmann, Taksar and Heyman 1985): O(k^3)
+matrix diag(in-weights) - W, and the directed builders compute it as that
+null vector by GTH elimination (Grassmann, Taksar and Heyman 1985): O(k^3)
 operations on k cabal nodes, free of subtraction and so componentwise
 accurate at any weight scale.  Two slower routes are kept as oracles:
 explicit enumeration of spanning out-trees (exponential, guarded) and
@@ -33,25 +39,26 @@ import numpy as np
 
 from .connectivity import ClusterSet, ReachDecomposition, reaches
 from .errors import (
+    ClusterViolation,
     KernelDefect,
+    NotUndirected,
     ReachTooLargeForEnumeration,
     SingularCommonBlock,
     SingularMatrix,
 )
-from .graph import Graph, Kind, laplacian, transpose
-from .numerics import ENUMERATION_LIMIT, solve
+from .graph import Graph, Kind, is_undirected, laplacian, transpose
+from .numerics import ENUMERATION_LIMIT, TOL_DEFECT, solve
 
 __all__ = [
     "KernelBasis",
     "kernels_in",
     "kernels_out",
+    "kernels_undirected",
     "left_kernel_in",
     "right_kernel_in",
     "weight_vector_bruteforce",
     "weight_vector_matrix",
 ]
-
-_DEFECT_TOL = 1e-7
 
 
 def _restricted_weights(graph: Graph, nodes: Iterable[str]):
@@ -257,11 +264,11 @@ def _check_basis(
     worst = float(
         np.max([right_resid / scale, left_resid / scale, unity_resid, pair_resid])
     )
-    if not worst <= _DEFECT_TOL:
+    if not worst <= TOL_DEFECT:
         raise KernelDefect(
             "kernel basis residual {:.3e} exceeds {:.1e} (right {:.3e}, "
             "left {:.3e}, unity {:.3e}, pairing {:.3e})".format(
-                worst, _DEFECT_TOL, right_resid, left_resid, unity_resid, pair_resid
+                worst, TOL_DEFECT, right_resid, left_resid, unity_resid, pair_resid
             )
         )
 
@@ -294,6 +301,26 @@ def kernels_out(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     left = _indicator_vectors(lap_t, dec, index)
     _check_basis(laplacian(sub, "out").matrix, graph.masses, right, left, left)
     return KernelBasis("out", graph, cluster_set, dec, right, left)
+
+
+def kernels_undirected(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
+    """In-degree kernel basis of a symmetric cluster subgraph, in closed form.
+
+    Requires an undirected-mode cluster set and symmetric weights.  Right
+    vectors are the component indicators, left vectors the indicators
+    divided by the component mass; exact by construction, so the residual
+    check of the directed builders is skipped.
+    """
+    if cluster_set.mode != "undirected":
+        raise ClusterViolation("undirected coarsening needs an undirected-mode cluster set")
+    if not is_undirected(graph):
+        raise NotUndirected("undirected coarsening needs symmetric weights")
+    dec = cluster_set.decomposition
+    component = {v: col for col, reach in enumerate(dec) for v in reach.nodes}
+    right = np.zeros((graph.n, len(dec)))
+    right[np.arange(graph.n), [component[v] for v in graph.nodes]] = 1.0
+    left = right / (right.T @ graph.masses)
+    return KernelBasis("in", graph, cluster_set, dec, right, left)
 
 
 def right_kernel_in(graph: Graph, cluster_set: ClusterSet) -> tuple[np.ndarray, ...]:

@@ -20,11 +20,15 @@ from .connectivity import ClusterSet
 from .errors import ProjectorDefect, SpectralGapCollapse
 from .graph import Graph, Kind, laplacian
 from .kernels import KernelBasis, kernels_in, kernels_out
-from .numerics import CONTOUR_POINTS, SPECTRAL_COLLAPSE, TOL_IMAG_RESIDUE, eigvals
+from .numerics import (
+    CONTOUR_POINTS,
+    SPECTRAL_COLLAPSE,
+    TOL_DEFECT,
+    TOL_IMAG_RESIDUE,
+    eigvals,
+)
 
 __all__ = ["riesz_contour_oracle", "riesz_from_kernels"]
-
-_DEFECT_TOL = 1e-7
 
 
 def riesz_from_kernels(basis: KernelBasis) -> np.ndarray:
@@ -40,11 +44,11 @@ def riesz_from_kernels(basis: KernelBasis) -> np.ndarray:
     )
     rank_resid = abs(float(np.trace(proj)) - basis.size)
     worst = float(np.max([idem, annih, rank_resid]))
-    if not worst <= _DEFECT_TOL:
+    if not worst <= TOL_DEFECT:
         raise ProjectorDefect(
             "projector residual {:.3e} exceeds {:.1e} (idempotency {:.3e}, "
             "annihilation {:.3e}, rank {:.3e})".format(
-                worst, _DEFECT_TOL, idem, annih, rank_resid
+                worst, TOL_DEFECT, idem, annih, rank_resid
             )
         )
     return proj

@@ -18,7 +18,14 @@ from lapcoarse.kernels import (
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import matrix_exp, spectral_gap
+from lapcoarse.numerics import (
+    TOL_KERNEL,
+    TOL_PROJECTOR,
+    TOL_RIESZ_CROSS,
+    TOL_TRANSPORT,
+    matrix_exp,
+    spectral_gap,
+)
 from lapcoarse.riesz import riesz_contour_oracle, riesz_projector
 
 
@@ -135,13 +142,13 @@ def test_criterion_06_kernel_structure_on_random_digraphs():
         cs = build_cluster_set(g, [(s, d) for s, d, _ in g.edges()], "directed")
         basis = kernels_in(g, cs)
         assert basis.right.shape[1] == len(list(reaches(g)))
-        assert np.abs(basis.right.sum(axis=1) - 1.0).max() <= 1e-10
+        assert np.abs(basis.right.sum(axis=1) - 1.0).max() <= TOL_KERNEL
         pairing = (basis.left * g.masses[:, None]).T @ basis.right
-        assert np.abs(pairing - np.eye(pairing.shape[0])).max() <= 1e-10
+        assert np.abs(pairing - np.eye(pairing.shape[0])).max() <= TOL_KERNEL
         for k, reach in enumerate(basis.decomposition):
             off_cabal = [g.index(v) for v in g.nodes if v not in reach.cabal]
             if off_cabal:
-                assert np.abs(basis.left[off_cabal, k]).max() <= 1e-10
+                assert np.abs(basis.left[off_cabal, k]).max() <= TOL_KERNEL
     print(
         "PASS criterion 6: partition of unity, biorthogonality, cabal support, "
         "and dimension = reach count on 200 random digraphs"
@@ -160,12 +167,12 @@ def test_criterion_07_riesz_formula_matches_contour_integrals():
         cs = build_cluster_set(g, pairs, "directed")
         projector = riesz_projector(g, cs, kind)
         oracle = riesz_contour_oracle(g, cs, kind=kind)
-        assert np.abs(projector - oracle).max() <= 1e-8
+        assert np.abs(projector - oracle).max() <= TOL_RIESZ_CROSS
         lap = laplacian(cs.subgraph(), kind).matrix
         scale = max(1.0, float(np.abs(lap).max()))
-        assert np.abs(projector @ projector - projector).max() <= 1e-10
-        assert np.abs(projector @ lap).max() <= 1e-10 * scale
-        assert np.abs(lap @ projector).max() <= 1e-10 * scale
+        assert np.abs(projector @ projector - projector).max() <= TOL_PROJECTOR
+        assert np.abs(projector @ lap).max() <= TOL_PROJECTOR * scale
+        assert np.abs(lap @ projector).max() <= TOL_PROJECTOR * scale
         checked += 1
     print(
         "PASS criterion 7: kernel-formula projectors match contour integrals "
@@ -284,11 +291,11 @@ def test_criterion_12_probability_transport_conservation():
             down = probability_transport_check(
                 result, S.random_distribution(rng, g.masses), "down"
             )
-            assert down.residual <= 1e-12
+            assert down.residual <= TOL_TRANSPORT
             up = probability_transport_check(
                 result, S.random_distribution(rng, result.reduced.masses), "up"
             )
-            assert up.residual <= 1e-12
+            assert up.residual <= TOL_TRANSPORT
     print(
         "PASS criterion 12: transport conserves total probability to 1e-12, "
         "100 random distributions per mode in both directions"

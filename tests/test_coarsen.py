@@ -12,9 +12,6 @@ from lapcoarse.coarsen import (
     _aggregate_edges,
     _cross_check,
     coarsen,
-    coarsen_in,
-    coarsen_out,
-    coarsen_undirected,
     probability_transport_check,
 )
 from lapcoarse.connectivity import build_cluster_set
@@ -30,12 +27,13 @@ from lapcoarse.errors import (
 )
 from lapcoarse.graph import build_graph, laplacian
 from lapcoarse.kernels import _check_basis, kernels_in
+from lapcoarse.numerics import TOL_TRANSPORT
 from lapcoarse.riesz import riesz_from_kernels
 
 
 def test_triangle_reduction_values():
     g = S.triangle()
-    result = coarsen_undirected(g, S.triangle_cluster(g))
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
     red = result.reduced
     assert red.nodes == ("a", "b+c")
     assert red.masses.tolist() == [1.0, 2.0]
@@ -48,7 +46,7 @@ def test_triangle_reduction_values():
 
 def test_triangle_interpolation_operators():
     g = S.triangle()
-    result = coarsen_undirected(g, S.triangle_cluster(g))
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
     assert np.array_equal(result.up, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     assert np.array_equal(result.down, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
     background = laplacian(S.triangle_cluster(g).background(), "in").matrix
@@ -59,7 +57,7 @@ def test_triangle_interpolation_operators():
 def test_no_clusters_means_identity_coarsening():
     g = S.triangle()
     cs = build_cluster_set(g, [], "undirected")
-    result = coarsen_undirected(g, cs)
+    result = coarsen(g, cs, "undirected")
     assert result.reduced == g
     assert np.array_equal(result.up, np.eye(3))
     assert np.array_equal(result.down, np.eye(3))
@@ -68,7 +66,7 @@ def test_no_clusters_means_identity_coarsening():
 def test_hub_pair_reductions_with_unit_attachment_coincide():
     g = S.hub_pair()
     cs = S.hub_pair_cluster(g)
-    for result in (coarsen_in(g, cs), coarsen_out(g, cs)):
+    for result in (coarsen(g, cs, "in"), coarsen(g, cs, "out")):
         red = result.reduced
         assert red.nodes == ("1", "2+3")
         assert np.allclose(red.masses, [1.0, 2.0], atol=1e-12)
@@ -80,16 +78,16 @@ def test_hub_pair_reductions_with_unit_attachment_coincide():
 def test_asymmetric_attachment_separates_the_two_reductions():
     g = S.hub_pair(w13=2.0)
     cs = S.hub_pair_cluster(g)
-    into_pair_in = {(s, d): w for s, d, w in coarsen_in(g, cs).reduced.edges()}
-    into_pair_out = {(s, d): w for s, d, w in coarsen_out(g, cs).reduced.edges()}
+    into_pair_in = {(s, d): w for s, d, w in coarsen(g, cs, "in").reduced.edges()}
+    into_pair_out = {(s, d): w for s, d, w in coarsen(g, cs, "out").reduced.edges()}
     assert abs(into_pair_in[("1", "2+3")] - 2 * 29 / 18) <= 1e-12
     assert abs(into_pair_out[("1", "2+3")] - 3.0) <= 1e-12
-    assert coarsen_in(g, cs).reduced != coarsen_out(g, cs).reduced
+    assert coarsen(g, cs, "in").reduced != coarsen(g, cs, "out").reduced
 
 
 def test_source_pair_reduction_loses_connectivity():
     g = S.two_sources()
-    result = coarsen_in(g, S.two_sources_cluster(g))
+    result = coarsen(g, S.two_sources_cluster(g), "in")
     assert list(result.reduced.edges()) == []
     assert result.reduced.masses.tolist() == [1.0, 2.0]
     assert np.array_equal(result.reduced_laplacian.matrix, np.zeros((2, 2)))
@@ -97,9 +95,9 @@ def test_source_pair_reduction_loses_connectivity():
 
 def test_all_three_modes_agree_on_undirected_input():
     g = S.triangle()
-    und = coarsen_undirected(g, S.triangle_cluster(g))
+    und = coarsen(g, S.triangle_cluster(g), "undirected")
     directed_cs = build_cluster_set(g, S.TRIANGLE_CLUSTER, "directed")
-    for result in (coarsen_in(g, directed_cs), coarsen_out(g, directed_cs)):
+    for result in (coarsen(g, directed_cs, "in"), coarsen(g, directed_cs, "out")):
         assert result.reduced.nodes == und.reduced.nodes
         assert np.allclose(result.reduced.masses, und.reduced.masses, atol=1e-12)
         assert np.allclose(result.reduced.weights, und.reduced.weights, atol=1e-12)
@@ -113,7 +111,7 @@ def test_intra_cluster_background_edges_drop_as_self_loops():
         S.sym("x", "y") + S.sym("y", "z") + S.sym("x", "z"),
     )
     cluster = S.sym_pairs("x", "y") + S.sym_pairs("y", "z")
-    result = coarsen_undirected(g, build_cluster_set(g, cluster, "undirected"))
+    result = coarsen(g, build_cluster_set(g, cluster, "undirected"), "undirected")
     assert result.reduced.nodes == ("x+y+z",)
     assert list(result.reduced.edges()) == []
     assert result.reduced_laplacian.matrix.tolist() == [[0.0]]
@@ -123,19 +121,19 @@ def test_mode_and_orientation_mismatches_are_rejected():
     g = S.hub_pair()
     directed_cs = S.hub_pair_cluster(g)
     with pytest.raises(ClusterViolation):
-        coarsen_undirected(g, directed_cs)
+        coarsen(g, directed_cs, "undirected")
     undirected_cs = build_cluster_set(g, S.HUB_PAIR_CLUSTER, "undirected")
     with pytest.raises(NotUndirected):
-        coarsen_undirected(g, undirected_cs)
+        coarsen(g, undirected_cs, "undirected")
     with pytest.raises(ClusterViolation):
-        coarsen_in(g, undirected_cs)
+        coarsen(g, undirected_cs, "in")
     with pytest.raises(ValueError):
         coarsen(g, directed_cs, "diagonal")
 
 
 def test_coarsening_result_is_read_only():
     g = S.triangle()
-    result = coarsen_undirected(g, S.triangle_cluster(g))
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
     assert not result.down.flags.writeable
     assert not result.up.flags.writeable
     with pytest.raises(ValueError):
@@ -147,7 +145,8 @@ def test_structural_invariants_on_random_undirected_fixtures():
     for _ in range(25):
         g = S.random_graph(rng, undirected=True)
         pairs = S.random_cluster_pairs(rng, g, undirected=True)
-        result = coarsen_undirected(g, build_cluster_set(g, pairs, "undirected"))
+        cs = build_cluster_set(g, pairs, "undirected")
+        result = coarsen(g, cs, "undirected")
         assert np.abs(result.up @ result.down - result.projector).max() <= 1e-10
         assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
         assert abs(result.reduced.masses.sum() - g.masses.sum()) <= 1e-12 * g.masses.sum()
@@ -156,6 +155,27 @@ def test_structural_invariants_on_random_undirected_fixtures():
         assert np.abs(mat @ np.ones(result.size)).max() <= 1e-10 * scale
         off = mat - np.diag(np.diag(mat))
         assert off.max(initial=0.0) <= 1e-12 * scale
+        # the closed-form basis is the in-degree one of the same edges
+        basis = result.basis
+        assert basis.kind == "in"
+        _check_basis(laplacian(cs.subgraph(), "in").matrix, g.masses,
+                     basis.right, basis.left, basis.right)
+        directed = kernels_in(g, build_cluster_set(g, pairs, "directed"))
+        assert sorted(directed.labels) == sorted(basis.labels)
+        for label in basis.labels:
+            want = directed.left_vector(label)
+            got = basis.left_vector(label)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        # component indicators, their exact mass sums and the aggregated weights
+        indicator = np.zeros((g.n, result.size))
+        for col, label in enumerate(result.reduced.nodes):
+            indicator[[g.index(v) for v in result.node_map[label]], col] = 1.0
+        assert np.array_equal(result.up, indicator)
+        assert np.array_equal(result.reduced.masses, indicator.T @ g.masses)
+        aggregate = indicator.T @ cs.background().weights @ indicator
+        np.fill_diagonal(aggregate, 0.0)
+        resid = np.abs(result.reduced.weights - aggregate).max()
+        assert resid <= 1e-14 * np.abs(aggregate).max(initial=1.0)
 
 
 def test_structural_invariants_on_random_directed_fixtures():
@@ -163,7 +183,7 @@ def test_structural_invariants_on_random_directed_fixtures():
     for _ in range(25):
         g = S.random_graph(rng)
         cs = build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed")
-        for result in (coarsen_in(g, cs), coarsen_out(g, cs)):
+        for result in (coarsen(g, cs, "in"), coarsen(g, cs, "out")):
             assert np.abs(result.up @ result.down - result.projector).max() <= 1e-10
             assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
             total = g.masses.sum()
@@ -216,9 +236,9 @@ def test_aggregated_edges_match_the_entrywise_loop(monkeypatch):
 def test_heavy_cycle_directed_reductions_equal_the_undirected_one(k):
     """A reach whose tree weights overflow a product of k weights still reduces."""
     g, cluster = S.heavy_cycle(k)
-    want = coarsen_undirected(g, build_cluster_set(g, cluster, "undirected")).reduced
+    want = coarsen(g, build_cluster_set(g, cluster, "undirected"), "undirected").reduced
     cs = build_cluster_set(g, cluster, "directed")
-    for result in (coarsen_in(g, cs), coarsen_out(g, cs)):
+    for result in (coarsen(g, cs, "in"), coarsen(g, cs, "out")):
         red = result.reduced
         assert red.nodes == want.nodes
         assert np.allclose(red.masses, want.masses, rtol=1e-12, atol=0.0)
@@ -255,7 +275,7 @@ def _projector_gate():
 
 def _cross_check_gate(field):
     g = S.triangle()
-    r = coarsen_undirected(g, S.triangle_cluster(g))
+    r = coarsen(g, S.triangle_cluster(g), "undirected")
     compressed, down = r.reduced_laplacian.matrix, r.down
     graph = g
     if field == "laplacian":
@@ -302,26 +322,26 @@ def test_invariant_gates_fail_on_nan(gate, error):
 
 def test_uniform_distribution_survives_undirected_transport():
     g = S.triangle()
-    result = coarsen_undirected(g, S.triangle_cluster(g))
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
     report = probability_transport_check(result, np.ones(3) / 3.0, "down")
-    assert report.residual <= 1e-12
+    assert report.residual <= TOL_TRANSPORT
     back = probability_transport_check(result, report.transported, "up")
-    assert back.residual <= 1e-12
+    assert back.residual <= TOL_TRANSPORT
 
 
 def test_point_mass_survives_in_mode_transport():
     g = S.two_sources()
-    result = coarsen_in(g, S.two_sources_cluster(g))
+    result = coarsen(g, S.two_sources_cluster(g), "in")
     down = probability_transport_check(result, [0.0, 0.0, 1.0], "down")
     assert down.input_total == 1.0
-    assert down.residual <= 1e-12
+    assert down.residual <= TOL_TRANSPORT
     up = probability_transport_check(result, down.transported, "up")
-    assert up.residual <= 1e-12
+    assert up.residual <= TOL_TRANSPORT
 
 
 def test_transport_rejects_non_distributions():
     g = S.triangle()
-    result = coarsen_undirected(g, S.triangle_cluster(g))
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
     with pytest.raises(NotADistribution):
         probability_transport_check(result, [0.5, 0.5, -0.5])
     with pytest.raises(NotADistribution):

@@ -222,7 +222,7 @@ def test_gap_bound_check_builds_one_kernel_basis(mode, monkeypatch):
     calls = []
     for where in ("lapcoarse.coarsen", "lapcoarse.harness"):
         module = importlib.import_module(where)
-        for name in ("kernels_in", "kernels_out"):
+        for name in ("kernels_in", "kernels_out", "kernels_undirected"):
             if hasattr(module, name):
                 original = getattr(kernels, name)
                 monkeypatch.setattr(

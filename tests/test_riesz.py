@@ -8,7 +8,7 @@ from lapcoarse.connectivity import build_cluster_set, transpose_cluster_set
 from lapcoarse.errors import SpectralGapCollapse
 from lapcoarse.graph import laplacian, transpose
 from lapcoarse.kernels import kernels_in, kernels_out
-from lapcoarse.numerics import weighted_opnorm
+from lapcoarse.numerics import TOL_PROJECTOR, TOL_RIESZ_CROSS, weighted_opnorm
 from lapcoarse.riesz import riesz_contour_oracle, riesz_from_kernels, riesz_projector
 
 
@@ -48,7 +48,7 @@ def test_contour_oracle_agrees_with_kernel_formula():
     for kind in ("in", "out"):
         formula = riesz_projector(g, cs, kind)
         oracle = riesz_contour_oracle(g, cs, kind)
-        assert np.abs(formula - oracle).max() <= 1e-8
+        assert np.abs(formula - oracle).max() <= TOL_RIESZ_CROSS
 
 
 def test_contour_rule_converges_in_the_point_count():
@@ -78,11 +78,11 @@ def test_projector_properties_on_random_cluster_fixtures():
         for kind in ("in", "out"):
             p = riesz_projector(g, cs, kind)
             lap = laplacian(sub, kind).matrix
-            assert np.abs(p @ p - p).max() <= 1e-10
+            assert np.abs(p @ p - p).max() <= TOL_PROJECTOR
             scale = max(1.0, np.abs(lap).max())
-            assert np.abs(p @ lap).max() <= 1e-10 * scale
-            assert np.abs(lap @ p).max() <= 1e-10 * scale
-            assert np.abs(p - riesz_contour_oracle(g, cs, kind)).max() <= 1e-8
+            assert np.abs(p @ lap).max() <= TOL_PROJECTOR * scale
+            assert np.abs(lap @ p).max() <= TOL_PROJECTOR * scale
+            assert np.abs(p - riesz_contour_oracle(g, cs, kind)).max() <= TOL_RIESZ_CROSS
             basis = kernels_in(g, cs) if kind == "in" else kernels_out(g, cs)
             rank = basis.right.shape[1]
             assert round(float(np.trace(p))) == rank
@@ -98,7 +98,7 @@ def test_in_projector_is_the_mass_adjoint_of_the_transposed_out_projector():
         p_in = riesz_projector(g, cs, "in")
         p_out = riesz_projector(transpose(g), transpose_cluster_set(cs), "out")
         adjoint = (p_out.T * m[np.newaxis, :]) / m[:, np.newaxis]
-        assert np.abs(p_in - adjoint).max() <= 1e-10
+        assert np.abs(p_in - adjoint).max() <= TOL_PROJECTOR
 
 
 def test_dispatcher_matches_direct_assembly():
