@@ -34,9 +34,10 @@ from .errors import (
     ClusterViolation,
     NegativeAggregateWeight,
     NotADistribution,
+    NotUndirected,
     ReductionMismatch,
 )
-from .graph import Graph, LaplacianMatrix, build_graph, laplacian
+from .graph import Graph, LaplacianMatrix, build_graph, is_undirected, laplacian
 from .kernels import KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
     TOL_DISTRIBUTION,
@@ -84,13 +85,6 @@ class CoarseningResult:
     def size(self) -> int:
         return self.reduced.n
 
-    @property
-    def projector(self) -> np.ndarray:
-        """Riesz projector up @ down (n x n), computed on each access."""
-        proj = self.up @ self.down
-        proj.setflags(write=False)
-        return proj
-
 
 def _cross_check(
     mode: CoarsenMode,
@@ -127,7 +121,7 @@ def _aggregate_edges(
     labels: list[str], aggregate: np.ndarray
 ) -> list[tuple[str, str, float]]:
     """Off-diagonal aggregate weights as drawn edges, tiny noise dropped."""
-    if not np.isfinite(aggregate).all():
+    if not np.all(np.isfinite(aggregate)):
         raise NegativeAggregateWeight("aggregated weights contain NaN or Inf")
     tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
     worst = float(aggregate.min())
@@ -166,24 +160,29 @@ def _assemble(
         coarse_mass = left.T @ masses
         down = (left * masses[:, None]).T / coarse_mass[:, None]
         up = right * coarse_mass[None, :]
-    if not (coarse_mass > 0.0).all():
+    if not np.all(coarse_mass > 0.0):
         raise ReductionMismatch("a reduced node received non-positive mass")
     background = cluster_set.background()
-    pairing = (left.T @ background.weights) @ right
-    if kind == "in":
-        aggregate = coarse_mass[:, None] * pairing
+    if mode == "undirected":
+        # Indicator block sums, mirrored so the reduced graph is exactly
+        # symmetric: mass * (W / mass) is not when 1 / mass is inexact, and
+        # a block and its transpose are summed in different orders.
+        aggregate = right.T @ background.weights @ right
+        aggregate = 0.5 * (aggregate + aggregate.T)
+    elif kind == "in":
+        aggregate = coarse_mass[:, None] * ((left.T @ background.weights) @ right)
     else:
-        aggregate = pairing * coarse_mass[None, :]
-    members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
-    labels = list(members)
+        aggregate = ((left.T @ background.weights) @ right) * coarse_mass[None, :]
+    labels = [r.label for r in basis.decomposition]
     reduced = build_graph(
         zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
     )
     compressed = down @ laplacian(background, kind).matrix @ up
     perm = _label_permutation(labels, reduced)
     down, up = down[perm], up[:, perm]
-    compressed = compressed[perm][:, perm]
+    compressed = compressed[np.ix_(perm, perm)]
     lap = _cross_check(mode, graph, down, up, reduced, compressed, kind)
+    members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
     node_map = {label: members[label] for label in reduced.nodes}
     return CoarseningResult(
         mode, graph, cluster_set, reduced, down, up, lap, node_map, basis
@@ -198,6 +197,10 @@ def coarsen(graph: Graph, cluster_set: ClusterSet, mode: CoarsenMode) -> Coarsen
     Every node outside the clusters becomes its own reduced node.
     """
     if mode == "undirected":
+        if cluster_set.mode != "undirected":
+            raise ClusterViolation("undirected coarsening needs an undirected-mode cluster set")
+        if not is_undirected(graph):
+            raise NotUndirected("undirected coarsening needs symmetric weights")
         basis = kernels_undirected(graph, cluster_set)
     elif mode not in ("in", "out"):
         raise ValueError(f"mode must be 'undirected', 'in' or 'out', got {mode!r}")

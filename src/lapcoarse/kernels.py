@@ -39,21 +39,18 @@ import numpy as np
 
 from .connectivity import ClusterSet, ReachDecomposition, reaches
 from .errors import (
-    ClusterViolation,
     KernelDefect,
-    NotUndirected,
     ReachTooLargeForEnumeration,
     SingularCommonBlock,
     SingularMatrix,
 )
-from .graph import Graph, Kind, is_undirected, laplacian, transpose
+from .graph import Graph, Kind, laplacian, transpose
 from .numerics import ENUMERATION_LIMIT, TOL_DEFECT, solve
 
 __all__ = [
     "KernelBasis",
     "kernels_in",
     "kernels_out",
-    "kernels_undirected",
     "left_kernel_in",
     "right_kernel_in",
     "weight_vector_bruteforce",
@@ -306,15 +303,12 @@ def kernels_out(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
 def kernels_undirected(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     """In-degree kernel basis of a symmetric cluster subgraph, in closed form.
 
-    Requires an undirected-mode cluster set and symmetric weights.  Right
-    vectors are the component indicators, left vectors the indicators
-    divided by the component mass; exact by construction, so the residual
-    check of the directed builders is skipped.
+    The caller checks that the cluster set is undirected-mode and the
+    weights symmetric.  Right vectors are the component indicators, left
+    vectors the indicators divided by the component mass; exact by
+    construction, so the residual check of the directed builders is
+    skipped.
     """
-    if cluster_set.mode != "undirected":
-        raise ClusterViolation("undirected coarsening needs an undirected-mode cluster set")
-    if not is_undirected(graph):
-        raise NotUndirected("undirected coarsening needs symmetric weights")
     dec = cluster_set.decomposition
     component = {v: col for col, reach in enumerate(dec) for v in reach.nodes}
     right = np.zeros((graph.n, len(dec)))

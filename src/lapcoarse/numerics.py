@@ -6,8 +6,8 @@ matrix exponentials (scaling and squaring, Pade 13 inside scipy), QR
 eigenvalues and an SVD null-space oracle.  Everything is dense; the guard
 :data:`SIZE_LIMIT` keeps callers honest about the desk-scale design.
 
-All numerical tolerances used across the package live in the table below
-so tests and acceptance criteria pin a single source.
+Every tolerance the package's gates read lives in the table below; the
+tests keep their own thresholds beside their fixtures.
 """
 
 from __future__ import annotations
@@ -25,23 +25,17 @@ from .errors import (
 )
 
 # ---------------------------------------------------------------------------
-# Tolerance table.  The package's gates and the tests read these; do not
-# tune casually.
+# Tolerance table.  The package's gates read these; do not tune casually.
 # ---------------------------------------------------------------------------
 
 EPS = 2.0 ** -52
 SIZE_LIMIT = 2000
 
-TOL_KERNEL = 1e-10           # tests: partition of unity, biorthogonality, cabal support
-TOL_PROJECTOR = 1e-10        # tests: idempotency and annihilation of Riesz projectors
-TOL_RIESZ_CROSS = 1e-8       # tests: closed form vs contour oracle
 TOL_DEFECT = 1e-7            # gate: kernel-basis and Riesz-projector residuals
 TOL_REDUCED_LAPLACIAN = 1e-10  # J-down L J-up vs reduced-graph Laplacian
 TOL_MASS_CONSERVATION = 1e-12
-TOL_TRANSPORT = 1e-12        # tests: probability transport conservation
 TOL_DISTRIBUTION = 1e-9      # gate: sign and unit total of a transported distribution
 TOL_LEMMA_EQUALITY = 1e-9    # projection-lemma equality for cluster resolvents
-TOL_WEIGHT_VECTOR = 1e-10    # tests: relative agreement of the two weight-vector routes
 TOL_IMAG_RESIDUE = 1e-9      # allowed imaginary part when realifying a contour integral
 SPECTRAL_COLLAPSE = 1e-12    # below this, "0 is isolated" is numerically meaningless
 CONTOUR_POINTS = 256

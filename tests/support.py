@@ -13,6 +13,12 @@ from lapcoarse import build_cluster_set, build_graph
 
 ALPHA, GAMMA, DELTA, RHO, ETA = 2.0, 3.0, 5.0, 7.0, 11.0
 
+TOL_KERNEL = 1e-10           # partition of unity, biorthogonality, cabal support
+TOL_PROJECTOR = 1e-10        # idempotency and annihilation of Riesz projectors
+TOL_RIESZ_CROSS = 1e-8       # closed form vs contour oracle
+TOL_TRANSPORT = 1e-12        # probability transport conservation
+TOL_WEIGHT_VECTOR = 1e-10    # relative agreement of the two weight-vector routes
+
 
 def sym_pairs(u: str, v: str):
     """Both drawn orientations of an undirected edge, as bare pairs."""

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_KERNEL, TOL_PROJECTOR, TOL_RIESZ_CROSS, TOL_TRANSPORT
 from lapcoarse.coarsen import coarsen, probability_transport_check
 from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.graph import build_graph, laplacian, scale_edges, transpose
@@ -18,14 +19,7 @@ from lapcoarse.kernels import (
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import (
-    TOL_KERNEL,
-    TOL_PROJECTOR,
-    TOL_RIESZ_CROSS,
-    TOL_TRANSPORT,
-    matrix_exp,
-    spectral_gap,
-)
+from lapcoarse.numerics import matrix_exp, spectral_gap
 from lapcoarse.riesz import riesz_contour_oracle, riesz_projector
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_TRANSPORT
 from lapcoarse.coarsen import (
     _aggregate_edges,
     _cross_check,
@@ -25,9 +26,9 @@ from lapcoarse.errors import (
     ProjectorDefect,
     ReductionMismatch,
 )
-from lapcoarse.graph import build_graph, laplacian
+from lapcoarse.graph import build_graph, is_undirected, laplacian
+from lapcoarse.io import export_dot, serialize_graph
 from lapcoarse.kernels import _check_basis, kernels_in
-from lapcoarse.numerics import TOL_TRANSPORT
 from lapcoarse.riesz import riesz_from_kernels
 
 
@@ -137,7 +138,7 @@ def test_coarsening_result_is_read_only():
     assert not result.down.flags.writeable
     assert not result.up.flags.writeable
     with pytest.raises(ValueError):
-        result.projector[0, 0] = 7.0
+        result.down[0, 0] = 7.0
 
 
 def test_structural_invariants_on_random_undirected_fixtures():
@@ -147,7 +148,8 @@ def test_structural_invariants_on_random_undirected_fixtures():
         pairs = S.random_cluster_pairs(rng, g, undirected=True)
         cs = build_cluster_set(g, pairs, "undirected")
         result = coarsen(g, cs, "undirected")
-        assert np.abs(result.up @ result.down - result.projector).max() <= 1e-10
+        assert is_undirected(result.reduced)
+        assert np.abs(result.up @ result.down - riesz_from_kernels(result.basis)).max() <= 1e-10
         assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
         assert abs(result.reduced.masses.sum() - g.masses.sum()) <= 1e-12 * g.masses.sum()
         mat = result.reduced_laplacian.matrix
@@ -178,13 +180,47 @@ def test_structural_invariants_on_random_undirected_fixtures():
         assert resid <= 1e-14 * np.abs(aggregate).max(initial=1.0)
 
 
+@pytest.mark.parametrize(
+    "masses, edges, cluster, want",
+    [
+        # 1/49 is inexact, so mass * (weight / mass) is not the weight
+        (
+            {"p": 24.0, "q": 25.0, "s": 1.0},
+            S.sym("p", "q") + S.sym("q", "s"),
+            S.sym_pairs("p", "q"),
+            [("p+q", "s", 1.0), ("s", "p+q", 1.0)],
+        ),
+        # the block and its transpose sum 0.1 + 0.1 + 0.2 + 0.3 in two orders
+        (
+            dict.fromkeys("abcd", 1.0),
+            S.sym("a", "b") + S.sym("c", "d") + S.sym("a", "c", 0.1)
+            + S.sym("a", "d", 0.1) + S.sym("b", "c", 0.2) + S.sym("b", "d", 0.3),
+            S.sym_pairs("a", "b") + S.sym_pairs("c", "d"),
+            None,
+        ),
+    ],
+    ids=["non-dyadic-mass", "block-sum-order"],
+)
+def test_undirected_reduction_is_exactly_symmetric(masses, edges, cluster, want):
+    g = build_graph(masses.items(), edges)
+    red = coarsen(g, build_cluster_set(g, cluster, "undirected"), "undirected").reduced
+    if want is not None:
+        assert sorted(red.edges()) == want
+    assert is_undirected(red)
+    assert '"directed": false' in serialize_graph(red)
+    assert export_dot(red).startswith("graph ")
+    joined = [(u, v) for u, v, _ in red.edges()]
+    again = coarsen(red, build_cluster_set(red, joined, "undirected"), "undirected")
+    assert again.reduced.nodes == ("+".join(sorted(g.nodes)),)
+
+
 def test_structural_invariants_on_random_directed_fixtures():
     rng = np.random.default_rng(41)
     for _ in range(25):
         g = S.random_graph(rng)
         cs = build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed")
         for result in (coarsen(g, cs, "in"), coarsen(g, cs, "out")):
-            assert np.abs(result.up @ result.down - result.projector).max() <= 1e-10
+            assert np.abs(result.up @ result.down - riesz_from_kernels(result.basis)).max() <= 1e-10
             assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
             total = g.masses.sum()
             assert abs(result.reduced.masses.sum() - total) <= 1e-12 * total

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_WEIGHT_VECTOR
 from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ReachTooLargeForEnumeration
 from lapcoarse.graph import build_graph, laplacian, transpose
@@ -15,7 +16,7 @@ from lapcoarse.kernels import (
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import TOL_WEIGHT_VECTOR, principal_angle_gap, svd_nullspace
+from lapcoarse.numerics import principal_angle_gap, svd_nullspace
 
 
 def reach_by_root(graph, root):

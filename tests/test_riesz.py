@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_PROJECTOR, TOL_RIESZ_CROSS
 from lapcoarse.connectivity import build_cluster_set, transpose_cluster_set
 from lapcoarse.errors import SpectralGapCollapse
 from lapcoarse.graph import laplacian, transpose
 from lapcoarse.kernels import kernels_in, kernels_out
-from lapcoarse.numerics import TOL_PROJECTOR, TOL_RIESZ_CROSS, weighted_opnorm
+from lapcoarse.numerics import weighted_opnorm
 from lapcoarse.riesz import riesz_contour_oracle, riesz_from_kernels, riesz_projector
 
 
