@@ -253,10 +253,10 @@ def probability_transport_check(
         raise NotADistribution(
             f"distribution has shape {f.shape}, expected {source.shape}"
         )
-    if float(f.min(initial=0.0)) < -TOL_DISTRIBUTION:
-        raise NotADistribution("distribution has a negative entry")
+    if not -TOL_DISTRIBUTION <= float(f.min(initial=0.0)):
+        raise NotADistribution("distribution has a negative or NaN entry")
     total = float(f @ source)
-    if abs(total - 1.0) > TOL_DISTRIBUTION:
+    if not abs(total - 1.0) <= TOL_DISTRIBUTION:
         raise NotADistribution(
             f"distribution has mass-weighted total {total!r}, expected 1"
         )

@@ -7,6 +7,13 @@ transfer operators, at rate 1/beta.  The transfer operators themselves do
 not depend on beta, so each harness call coarsens once and compares
 against a ladder of scaled graphs.
 
+Neither does most of the scaled Laplacian: scaling touches only cluster
+edges, so its rows and columns at the nodes outside every cluster are the
+same at each beta.  A sweep eliminates that block once and, per beta,
+inverts only the Schur complement on the cluster nodes; every difference
+is still the dense norm of the whole scaled resolvent minus the lifted
+reduced one, and the z-guard still sees the whole scaled Laplacian.
+
 The gap bound check measures the distance between the resolvent of the
 scaled cluster subgraph and the rank-preserving part of its kernel
 projector; for mass-symmetrizable cluster subgraphs and negative real z
@@ -28,6 +35,7 @@ from .errors import (
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
+    SingularMatrix,
     ZOnSpectrumAxis,
 )
 from .graph import Graph, Kind, laplacian, scale_edges
@@ -114,11 +122,51 @@ def _guard_z(matrix: np.ndarray, masses: np.ndarray, z: complex) -> None:
 
 def _resolvent(matrix: np.ndarray, masses: np.ndarray, z: complex) -> np.ndarray:
     _guard_z(matrix, masses, z)
-    eye = np.eye(matrix.shape[0])
-    shifted = matrix - z * eye
-    if np.iscomplexobj(shifted):
-        return np.linalg.solve(shifted, np.eye(matrix.shape[0], dtype=complex))
-    return inverse(shifted)
+    return inverse(matrix - z * np.eye(matrix.shape[0]))
+
+
+def _eliminate_outside(
+    matrix: np.ndarray, order: np.ndarray, p: int, z: complex
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Resolvents of matrices that agree with ``matrix`` off the inside block.
+
+    ``order`` lists the inside indices, then the outside ones.  Split
+    ``matrix - z`` over the first ``p`` of them and the rest as
+    ``[[A, B], [C, D]]``.  ``D^-1``, ``-D^-1 C``, ``-B D^-1`` and
+    ``-B D^-1 C`` are formed here, once; the returned function inverts
+    ``m - z`` for any ``m`` whose B, C and D blocks equal these, at the
+    cost of one inverse of the Schur complement ``S = A - B D^-1 C`` and
+    three products:
+
+        (m - z)^-1 = [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
+
+    Its rows and columns are in ``order``.  Raises SingularMatrix when
+    ``D`` fails the pivot gate, and the returned function does when ``S``
+    does.
+    """
+    n = matrix.shape[0]
+    inside, outside = order[:p], order[p:]
+    d_inv = inverse(matrix[np.ix_(outside, outside)] - z * np.eye(n - p))
+    c = matrix[np.ix_(outside, inside)]
+    lower = -(d_inv @ c)
+    right = -(matrix[np.ix_(inside, outside)] @ d_inv)
+    schur_shift = right @ c
+    shift = z * np.eye(p)
+    block = np.ix_(inside, inside)
+
+    def resolve(m: np.ndarray) -> np.ndarray:
+        schur = m[block] - shift
+        schur += schur_shift
+        s_inv = inverse(schur)
+        out = np.empty((n, n), dtype=np.result_type(s_inv, d_inv))
+        out[:p, :p] = s_inv
+        np.matmul(s_inv, right, out=out[:p, p:])
+        np.matmul(lower, s_inv, out=out[p:, :p])
+        np.matmul(out[p:, :p], right, out=out[p:, p:])
+        out[p:, p:] += d_inv
+        return out
+
+    return resolve
 
 
 def resolvent_diff(
@@ -261,15 +309,27 @@ def sweep(
     betas: Iterable[float],
     z: float = -1.0,
     cluster_scale: Callable[[float], float] | None = None,
+    result: CoarseningResult | None = None,
 ) -> SweepReport:
     """Measure resolvent convergence along an increasing ladder of betas.
+
+    Each difference is the mass operator norm of the dense scaled resolvent
+    minus the lifted reduced one.  Scaling touches only cluster edges, whose
+    endpoints are the cluster nodes, so the rows and columns of ``L_beta - z``
+    at every other node are the same for each beta: they are eliminated
+    once (:func:`_eliminate_outside`), and each beta inverts only the Schur
+    complement on the cluster nodes.  When the outside block fails the
+    pivot gate (possible only for Re z >= 0), whole matrices are inverted
+    for the sweep instead.  The z-guard runs on the whole scaled Laplacian
+    at every beta.
 
     The log-log slope of the differences against beta is fitted by least
     squares; the smallest beta is left out of the fit when more than three
     are given, since it is the least asymptotic.  Entries whose difference
     underflows are excluded from the fit and flagged.  A custom
     ``cluster_scale`` (mapping beta to the actual multiplier) may be
-    supplied, but then no convergence rate is guaranteed.
+    supplied, but then no convergence rate is guaranteed.  ``result`` is a
+    coarsening of the same graph, cluster set and mode, made when omitted.
     """
     ladder = sorted(set(float(b) for b in betas))
     if len(ladder) < 3:
@@ -279,10 +339,14 @@ def sweep(
     notes: list[str] = []
     if cluster_scale is not None:
         notes.append("custom cluster scaling in effect: no rate guarantee")
-    result = coarsen(graph, cluster_set, mode)
+    if result is None:
+        result = coarsen(graph, cluster_set, mode)
     kind = _kind(mode)
+    inside = {graph.index(v) for v in cluster_set.cluster_nodes}
+    order = np.array(sorted(inside) + sorted(set(range(graph.n)) - inside), dtype=int)
     red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
-    lifted = result.up @ red @ result.down
+    lifted = result.up[order] @ red @ result.down[:, order]
+    masses = graph.masses[order]
     try:
         # the cluster subgraph's Laplacian scales exactly with the multiplier
         sub_lap = laplacian(cluster_set.subgraph(), kind).matrix
@@ -290,6 +354,14 @@ def sweep(
     except NotSymmetrizable:
         gap = None
         notes.append("cluster subgraph is not mass-symmetrizable; gaps omitted")
+    try:
+        # the outside block of L_beta - z is that of L - z for every beta
+        resolve = _eliminate_outside(laplacian(graph, kind).matrix, order, len(inside), z)
+    except SingularMatrix:
+
+        def resolve(m: np.ndarray) -> np.ndarray:
+            return inverse(m - z * np.eye(graph.n))[np.ix_(order, order)]
+
     diffs: list[float] = []
     multipliers: list[float] = []
     for beta in ladder:
@@ -299,9 +371,16 @@ def sweep(
                 f"cluster scale produced a non-positive multiplier {multiplier!r}"
             )
         multipliers.append(multiplier)
+        # each n x n temporary is dropped once used: two fewer are alive at the peak
         scaled = scale_edges(graph, cluster_set.total_edges, multiplier)
-        full = _resolvent(laplacian(scaled, kind).matrix, graph.masses, z)
-        diffs.append(weighted_opnorm(full - lifted, graph.masses))
+        matrix = laplacian(scaled, kind).matrix
+        del scaled
+        _guard_z(matrix, graph.masses, z)
+        full = resolve(matrix)
+        del matrix
+        full -= lifted
+        diffs.append(weighted_opnorm(full, masses))
+        del full
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         notes.append("resolvent differences are not monotone along the ladder")
     usable = [i for i, d in enumerate(diffs) if d > _UNDERFLOW]

@@ -186,26 +186,38 @@ def _indicator_vectors(
     matrix: np.ndarray, dec: ReachDecomposition, index: dict[str, int]
 ) -> np.ndarray:
     """Columns equal to 1 on exclusive parts, solved on common parts."""
-    n = matrix.shape[0]
-    cols = []
-    for reach in dec:
-        vec = np.zeros(n)
+    out = np.zeros((matrix.shape[0], len(dec)))
+    for col, reach in enumerate(dec):
+        if len(reach.nodes) == 1:
+            continue
         H = [index[v] for v in sorted(reach.exclusive)]
         C = [index[v] for v in sorted(reach.common)]
-        vec[H] = 1.0
+        out[H, col] = 1.0
         if C:
             # dividing each row by the block's diagonal leaves the solution
             # unchanged and keeps the pivots independent of the weight scale
             diag = np.diagonal(matrix)[C, np.newaxis]
             rhs = -(matrix[np.ix_(C, H)] / diag) @ np.ones(len(H))
             try:
-                vec[C] = solve(matrix[np.ix_(C, C)] / diag, rhs)
+                out[C, col] = solve(matrix[np.ix_(C, C)] / diag, rhs)
             except SingularMatrix as exc:
                 raise SingularCommonBlock(
                     f"common block of reach {reach.label!r} is singular"
                 ) from exc
-        cols.append(vec)
-    return np.column_stack(cols)
+    # a one-node reach is its own exclusive part
+    cols, rows = _one_node_columns([reach.nodes for reach in dec], index)
+    out[rows, cols] = 1.0
+    return out
+
+
+def _one_node_columns(
+    parts: list[frozenset[str]], index: dict[str, int]
+) -> tuple[list[int], list[int]]:
+    """Positions of the one-node parts, and the index of each one's node."""
+    single = [
+        (col, index[v]) for col, part in enumerate(parts) if len(part) == 1 for v in part
+    ]
+    return [col for col, _ in single], [row for _, row in single]
 
 
 def _gth_null_vector(W: np.ndarray) -> np.ndarray:
@@ -227,22 +239,28 @@ def _gth_null_vector(W: np.ndarray) -> np.ndarray:
     return omega
 
 
-def _tree_vectors(sub: Graph, dec: ReachDecomposition) -> np.ndarray:
+def _tree_vectors(
+    sub: Graph, dec: ReachDecomposition, index: dict[str, int]
+) -> np.ndarray:
     """Columns of cabal tree weight vectors, each normalized to unit mass sum."""
-    n = sub.n
-    cols = []
-    for reach in dec:
+    out = np.zeros((sub.n, len(dec)))
+    for col, reach in enumerate(dec):
+        if len(reach.cabal) == 1:
+            continue
         order, W = _restricted_weights(sub, reach.cabal)
-        vec = np.zeros(n)
-        vec[[sub.index(v) for v in order]] = _gth_null_vector(W)
+        vec = np.zeros(sub.n)
+        vec[[index[v] for v in order]] = _gth_null_vector(W)
         total = float(vec @ sub.masses)
         if not total > 0.0:
             raise KernelDefect(
                 f"tree weight vector of reach {reach.label!r} has non-positive "
                 f"mass sum {total!r}"
             )
-        cols.append(vec / total)
-    return np.column_stack(cols)
+        out[:, col] = vec / total
+    # a one-node cabal's vector is that node's indicator over its mass
+    cols, rows = _one_node_columns([reach.cabal for reach in dec], index)
+    out[rows, cols] = 1.0 / sub.masses[rows]
+    return out
 
 
 def _check_basis(
@@ -277,7 +295,7 @@ def kernels_in(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     index = {v: k for k, v in enumerate(graph.nodes)}
     lap = laplacian(sub, "in").matrix
     right = _indicator_vectors(lap, dec, index)
-    left = _tree_vectors(sub, dec)
+    left = _tree_vectors(sub, dec, index)
     _check_basis(lap, graph.masses, right, left, right)
     return KernelBasis("in", graph, cluster_set, dec, right, left)
 
@@ -294,7 +312,7 @@ def kernels_out(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     dec = reaches(sub_t)
     index = {v: k for k, v in enumerate(graph.nodes)}
     lap_t = laplacian(sub_t, "in").matrix
-    right = _tree_vectors(sub_t, dec)
+    right = _tree_vectors(sub_t, dec, index)
     left = _indicator_vectors(lap_t, dec, index)
     _check_basis(laplacian(sub, "out").matrix, graph.masses, right, left, left)
     return KernelBasis("out", graph, cluster_set, dec, right, left)

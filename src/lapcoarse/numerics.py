@@ -1,18 +1,23 @@
 """Dense linear-algebra kernel.
 
-Thin, contract-enforcing wrappers over numpy/scipy: complex LU solves,
-mass-weighted operator norms, spectral gaps of symmetrizable operators,
-matrix exponentials (scaling and squaring, Pade 13 inside scipy), QR
-eigenvalues and an SVD null-space oracle.  Everything is dense; the guard
-:data:`SIZE_LIMIT` keeps callers honest about the desk-scale design.
+Thin, contract-enforcing wrappers over numpy/scipy: LU solves and
+inverses behind one pivot gate, mass-weighted operator norms, spectral
+gaps of symmetrizable operators, matrix exponentials (scaling and
+squaring, Pade 13 inside scipy), QR eigenvalues and an SVD null-space
+oracle.  Everything is dense; the guard :data:`SIZE_LIMIT` keeps callers
+honest about the desk-scale design.
+
+The operator norm is the top singular value, taken from the Gram matrix.
+On larger matrices a Lanczos estimate replaces the full eigensolve, and a
+Cholesky factorization proves it is the top eigenvalue to a stated
+relative bound (the floating-point criterion of Rump 2006); without that
+proof the eigensolve answers.
 
 Every tolerance the package's gates read lives in the table below; the
 tests keep their own thresholds beside their fixtures.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -41,6 +46,18 @@ SPECTRAL_COLLAPSE = 1e-12    # below this, "0 is isolated" is numerically meanin
 CONTOUR_POINTS = 256
 ENUMERATION_LIMIT = 12       # max reach size for brute-force tree enumeration
 
+# Certified top eigenvalue in weighted_opnorm.  Below _LANCZOS_MIN_N rows a
+# full eigensolve is cheaper than the Python-level Lanczos loop (one BLAS
+# thread on a Xeon: 0.42 against 0.46 ms at n = 80, 0.66 against 0.44 ms
+# at n = 100).
+# Lanczos settles in 8 to 14 steps on resolvent and heat differences; at
+# n = 500 a step costs about 0.11 ms, so a run to the step cap adds about
+# a tenth to the eigensolve it then falls back to.
+_LANCZOS_MIN_N = 100
+_LANCZOS_STEPS = 20
+_LANCZOS_SEED = 20260
+_CERTIFY_SLACK = 4
+
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a)
@@ -55,65 +72,152 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU with partial pivoting.
+def _lu_factor(a: np.ndarray):
+    """LU factors and pivots of a square ``a``, behind the pivot gate.
 
     Raises :class:`SingularMatrix` when the smallest pivot falls below
     ``n * eps * norm(a, inf)``, i.e. when the factorization cannot be
     trusted rather than only on exact singularity.
     """
-    a = _as_matrix(a, "coefficient matrix")
+    (getrf,) = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
+    lu, piv, _ = getrf(a)
+    smallest = float(np.min(np.abs(np.diagonal(lu))))
+    threshold = a.shape[0] * EPS * np.linalg.norm(a, np.inf)
+    if smallest <= threshold:
+        raise SingularMatrix(f"pivot {smallest:.3e} below threshold {threshold:.3e}")
+    return lu, piv
+
+
+def _square(a, name: str) -> np.ndarray:
+    a = _as_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
+        raise NonFiniteMatrix(f"{name} must be square, got {a.shape}")
+    return a
+
+
+def solve(a, b) -> np.ndarray:
+    """Solve ``a @ x = b`` by LU with partial pivoting.
+
+    Raises :class:`SingularMatrix` when a pivot fails the gate of
+    :func:`_lu_factor`.
+    """
+    a = _square(a, "coefficient matrix")
     b_arr = np.asarray(b)
     if not np.all(np.isfinite(b_arr)):
         raise NonFiniteMatrix("right-hand side contains NaN or Inf entries")
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        raise NonFiniteMatrix(f"coefficient matrix must be square, got {a.shape}")
-    if n == 0:
+    if a.shape[0] == 0:
         return np.zeros_like(b_arr)
-    with warnings.catch_warnings():
-        # scipy warns on exactly singular input; the pivot check below
-        # turns that condition into a typed error instead.
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = n * EPS * np.linalg.norm(a, np.inf)
-    if np.min(pivots) <= threshold:
-        raise SingularMatrix(
-            f"pivot {np.min(pivots):.3e} below threshold {threshold:.3e}"
-        )
-    return scipy.linalg.lu_solve((lu, piv), b_arr, check_finite=False)
+    return scipy.linalg.lu_solve(_lu_factor(a), b_arr, check_finite=False)
 
 
 def inverse(a) -> np.ndarray:
-    """Matrix inverse via :func:`solve` against the identity."""
-    a = _as_matrix(a)
-    return solve(a, np.eye(a.shape[0], dtype=a.dtype))
+    """Matrix inverse from one LU factorization (``getrf``, then ``getri``).
+
+    Raises :class:`SingularMatrix` when a pivot fails the gate of
+    :func:`_lu_factor`.
+    """
+    a = _square(a, "matrix")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros_like(a)
+    lu, piv = _lu_factor(a)
+    getri, getri_lwork = scipy.linalg.get_lapack_funcs(("getri", "getri_lwork"), (lu,))
+    lwork = int(getri_lwork(n)[0].real)
+    inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+    return inv
 
 
 def weighted_opnorm(a, masses) -> float:
     """Operator 2-norm of ``a`` on the mass-weighted space l2(m).
 
     Equal to the largest singular value of ``sym = M^(1/2) a M^(-1/2)``,
-    taken as the square root of the top eigenvalue of the Gram matrix
-    ``sym^H sym`` (relative accuracy eps, at the cost of one symmetric
-    eigensolve instead of a full SVD).  ``sym`` is first divided by its
-    largest entry, so the Gram matrix neither overflows nor underflows.
+    the square root of the top eigenvalue of the Gram matrix
+    ``G = sym^H sym``.  ``sym`` is first divided by its largest entry, so
+    ``G`` neither overflows nor underflows.
+
+    From :data:`_LANCZOS_MIN_N` rows on, the top eigenvalue is a Lanczos
+    estimate ``theta`` (a Rayleigh quotient, so ``theta <= lambda_max``),
+    certified by a Cholesky factorization of ``theta (1 + tau) I - G`` with
+    ``tau = _CERTIFY_SLACK * n * eps``.  Its success proves, by the
+    Cholesky backward error, ``lambda_max <= theta (1 + tau)(1 + (n + 1)^2
+    eps)``, so the returned ``sqrt(theta)`` is within half that factor of
+    the top singular value of the computed ``sym``.  When Lanczos does not
+    settle or the factorization fails, and on smaller matrices, the value
+    is the top eigenvalue from a full symmetric eigensolve (relative
+    accuracy eps).
     """
     sym = mass_symmetrize(a, masses)
     scale = float(np.max(np.abs(sym), initial=0.0))
     if scale == 0.0:
         return 0.0
-    sym = sym / scale
-    top = float(np.linalg.eigvalsh(sym.conj().T @ sym)[-1])
+    sym /= scale
+    gram = sym.conj().T @ sym
+    if gram.shape[0] >= _LANCZOS_MIN_N:
+        theta = _lanczos_top(gram)
+        if theta is not None and _bounds_spectrum(gram, theta):
+            return scale * float(np.sqrt(theta))
+        gram = sym.conj().T @ sym
+    top = float(np.linalg.eigvalsh(gram)[-1])
     return scale * float(np.sqrt(max(top, 0.0)))
+
+
+def _lanczos_top(gram: np.ndarray) -> float | None:
+    """Top Ritz value of Hermitian ``gram`` by Lanczos, or None if unsettled.
+
+    Full reorthogonalization (two passes against every earlier vector)
+    keeps the basis orthonormal, so the Ritz value is a Rayleigh quotient
+    of ``gram``.  The start vector is drawn from a fixed seed, so the
+    result is deterministic.  Stops when the Ritz value moves by at most
+    eps relative, or when the Krylov space becomes invariant; returns None
+    after :data:`_LANCZOS_STEPS` steps without settling.
+    """
+    n = gram.shape[0]
+    steps = min(n, _LANCZOS_STEPS)
+    basis = np.empty((steps, n), dtype=gram.dtype)
+    tri = np.zeros((steps, steps))
+    q = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    basis[0] = q / np.linalg.norm(q)
+    theta = 0.0
+    for k in range(steps):
+        done = basis[: k + 1]
+        w = gram @ done[k]
+        coeffs = done.conj() @ w
+        w -= coeffs @ done
+        w -= (done.conj() @ w) @ done
+        tri[k, k] = coeffs[k].real
+        ritz = float(np.linalg.eigvalsh(tri[: k + 1, : k + 1])[-1])
+        beta = float(np.linalg.norm(w))
+        if ritz - theta <= EPS * ritz or beta <= EPS * ritz:
+            return ritz
+        theta = ritz
+        if k + 1 < steps:
+            tri[k, k + 1] = tri[k + 1, k] = beta
+            basis[k + 1] = w / beta
+    return None
+
+
+def _bounds_spectrum(gram: np.ndarray, theta: float) -> bool:
+    """True when ``theta (1 + tau) I - gram`` has a Cholesky factorization.
+
+    Overwrites ``gram``.  Its transpose is passed to LAPACK, which sees a
+    Fortran-ordered matrix with the same (real) spectrum and factors it in
+    place.
+    """
+    n = gram.shape[0]
+    shifted = np.negative(gram, out=gram)
+    shifted.reshape(-1)[:: n + 1] += theta * (1.0 + _CERTIFY_SLACK * n * EPS)
+    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (shifted,))
+    _, info = potrf(shifted.T, lower=False, clean=False, overwrite_a=True)
+    return info == 0
 
 
 def mass_symmetrize(a, masses) -> np.ndarray:
     """Return ``M^(1/2) a M^(-1/2)``; symmetric for mass-self-adjoint ``a``."""
     a = _as_matrix(a)
     s = np.sqrt(np.asarray(masses, dtype=float))
-    return (a * (1.0 / s)[np.newaxis, :]) * s[:, np.newaxis]
+    sym = a * (1.0 / s)[np.newaxis, :]
+    sym *= s[:, np.newaxis]
+    return sym
 
 
 def spectral_gap(laplacian, masses) -> float:

@@ -18,6 +18,8 @@ TOL_PROJECTOR = 1e-10        # idempotency and annihilation of Riesz projectors
 TOL_RIESZ_CROSS = 1e-8       # closed form vs contour oracle
 TOL_TRANSPORT = 1e-12        # probability transport conservation
 TOL_WEIGHT_VECTOR = 1e-10    # relative agreement of the two weight-vector routes
+TOL_SWEEP_ELIMINATION = 1e-10  # sweep vs per-beta resolvent_diff, relative, beta <= 1e4
+TOL_OPNORM = 1e-13           # weighted operator norm vs the SVD's top singular value
 
 
 def sym_pairs(u: str, v: str):

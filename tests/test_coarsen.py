@@ -386,3 +386,14 @@ def test_transport_rejects_non_distributions():
         probability_transport_check(result, [0.5, 0.5])
     with pytest.raises(ValueError):
         probability_transport_check(result, np.ones(3) / 3.0, "sideways")
+
+
+@pytest.mark.parametrize("direction, distribution", [
+    ("down", [np.nan, 0.5, 0.5]),
+    ("up", [np.nan, 0.5]),
+])
+def test_transport_rejects_nan_entries(direction, distribution):
+    g = S.triangle()
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
+    with pytest.raises(NotADistribution):
+        probability_transport_check(result, distribution, direction)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_SWEEP_ELIMINATION
 from lapcoarse.coarsen import coarsen
 from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.errors import (
@@ -14,6 +15,7 @@ from lapcoarse.errors import (
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
+    SingularMatrix,
     ZOnSpectrumAxis,
 )
 from lapcoarse.graph import build_graph, laplacian, scale_edges
@@ -339,3 +341,120 @@ def test_sweep_report_serializes_to_plain_data():
     assert data["fittedSlope"] == report.fitted_slope
     assert data["gapValues"] == list(report.gap_values)
     assert data["notes"] == list(report.notes)
+
+
+# -- sweep: outside block eliminated once -------------------------------------------
+
+
+def chain_with_cluster_head(n: int, p: int):
+    """Symmetric path of n nodes with masses in [0.5, 2]; its first p form the cluster."""
+    rng = np.random.default_rng(n)
+    names = [f"n{k:03d}" for k in range(n)]
+    edges = []
+    for u, v in zip(names, names[1:]):
+        edges.extend(S.sym(u, v, float(rng.uniform(0.5, 2.0))))
+    nodes = [(v, float(rng.uniform(0.5, 2.0))) for v in names]
+    cluster = [(s, d) for s, d, _ in edges if s < names[p] and d < names[p]]
+    return build_graph(nodes, edges), cluster
+
+
+def singular_outside_block(mode: str):
+    """A graph, cluster pairs and z at which the block outside {a, b} is singular.
+
+    Directed: L restricted to q1..q4 is diag(2, 2, 3, 1) minus a 4-cycle with
+    weights 1, 2, 1, 1, which has the exact eigenvalue z = 2 + i, so
+    ``L_QQ - z`` fails the pivot gate while z stays clear of the spectra of
+    the whole and the reduced Laplacians.  Undirected: L_QQ has the
+    eigenvalue 1e5, and z = 1e5 + 1e-11i is closer to it than the gate's
+    threshold.
+    """
+    qs = ["q1", "q2", "q3", "q4"]
+    edges = S.sym("a", "b")
+    if mode == "undirected":
+        for u, v in zip(qs, qs[1:] + qs[:1]):
+            edges += S.sym(u, v, 1e5)
+        for q in qs:
+            edges += S.sym("a", q, 1e5)
+        z = 1e5 + 1e-11j
+    else:
+        cycle = [("q4", "q1"), ("q1", "q2"), ("q2", "q3"), ("q3", "q4")]
+        edges += [(s, d, w) for (s, d), w in zip(cycle, (1.0, 1.0, 2.0, 1.0))]
+        edges += [("a", "q1", 1.0), ("a", "q2", 1.0), ("b", "q3", 1.0), ("q1", "a", 1.0)]
+        if mode == "out":
+            edges = [(d, s, w) for s, d, w in edges]
+        z = 2 + 1j
+    graph = build_graph([(v, 1.0) for v in ["a", "b"] + qs], edges)
+    return graph, S.sym_pairs("a", "b"), z
+
+
+def elimination_cases(mode: str):
+    """(label, graph, cluster pairs, z, outside block expected singular)."""
+    undirected = mode == "undirected"
+    rng = np.random.default_rng(83)
+    cases = []
+    for k in range(4):
+        g = S.random_graph(rng, undirected=undirected)
+        pairs = S.random_cluster_pairs(rng, g, undirected=undirected)
+        cases.append((f"random{k}", g, pairs, -1.0 + 0.5j if k % 2 else -1.0, False))
+    square = build_graph(
+        [(v, m) for v, m in zip("abcd", (1.0, 0.5, 2.0, 1.5))],
+        S.sym("a", "b", 2.0) + S.sym("c", "d", 3.0)
+        + S.sym("b", "c") + S.sym("a", "d", 0.5),
+    )
+    both = S.sym_pairs("a", "b") + S.sym_pairs("c", "d")
+    cases.append(("q=0", square, both, -1.0, False))
+    cases.append(("q=n-2", S.clique(6), S.sym_pairs("v00", "v01"), -1.0 + 0.5j, False))
+    g, pairs = chain_with_cluster_head(130, 50)
+    cases.append(("n=130", g, pairs, -1.0, False))
+    g, pairs, z = singular_outside_block(mode)
+    cases.append(("singular-outside", g, pairs, z, True))
+    return cases
+
+
+def spy_elimination(monkeypatch):
+    harness = importlib.import_module("lapcoarse.harness")
+    outcomes = []
+    original = harness._eliminate_outside
+
+    def spy(*args):
+        try:
+            resolve = original(*args)
+        except SingularMatrix:
+            outcomes.append("whole")
+            raise
+        outcomes.append("eliminated")
+        return resolve
+
+    monkeypatch.setattr(harness, "_eliminate_outside", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_sweep_diffs_equal_per_beta_resolvent_diffs(mode, monkeypatch):
+    for label, g, pairs, z, singular in elimination_cases(mode):
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        outside = {"q=0": 0, "q=n-2": g.n - 2}.get(label)
+        if outside is not None:
+            assert g.n - len(cs.cluster_nodes) == outside
+        outcomes = spy_elimination(monkeypatch)
+        report = sweep(g, cs, mode, LADDER, z=z)
+        monkeypatch.undo()
+        assert outcomes == ["whole" if singular else "eliminated"], label
+        result = coarsen(g, cs, mode)
+        for beta, diff in zip(report.betas, report.diffs):
+            want = resolvent_diff(g, cs, mode, beta, z, result=result)
+            assert abs(diff - want) <= TOL_SWEEP_ELIMINATION * want, (label, beta)
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_sweep_uses_a_given_coarsening(mode, monkeypatch):
+    g, cluster = S.heavy_cycle(8, weight=1.0)
+    cs = build_cluster_set(g, cluster, "undirected" if mode == "undirected" else "directed")
+    result = coarsen(g, cs, mode)
+    harness = importlib.import_module("lapcoarse.harness")
+    calls = []
+    monkeypatch.setattr(harness, "coarsen", lambda *a: calls.append(a) or coarsen(*a))
+    given = sweep(g, cs, mode, LADDER, result=result)
+    assert calls == []
+    assert sweep(g, cs, mode, LADDER) == given
+    assert len(calls) == 1

@@ -8,6 +8,7 @@ from support import TOL_WEIGHT_VECTOR
 from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ReachTooLargeForEnumeration
 from lapcoarse.graph import build_graph, laplacian, transpose
+from lapcoarse import kernels
 from lapcoarse.kernels import (
     kernels_in,
     kernels_out,
@@ -16,7 +17,7 @@ from lapcoarse.kernels import (
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import principal_angle_gap, svd_nullspace
+from lapcoarse.numerics import principal_angle_gap, solve, svd_nullspace
 
 
 def reach_by_root(graph, root):
@@ -296,3 +297,52 @@ def test_kernel_bases_agree_with_svd_null_spaces():
         ):
             null = svd_nullspace(laplacian(sub, kind).matrix)
             assert principal_angle_gap(basis.right, null) <= 1e-8
+
+
+def loop_indicator_vectors(matrix, dec, index):
+    """Reference: one solved column per reach, one-node reaches included."""
+    cols = []
+    for reach in dec:
+        vec = np.zeros(matrix.shape[0])
+        H = [index[v] for v in sorted(reach.exclusive)]
+        C = [index[v] for v in sorted(reach.common)]
+        vec[H] = 1.0
+        if C:
+            diag = np.diagonal(matrix)[C, np.newaxis]
+            rhs = -(matrix[np.ix_(C, H)] / diag) @ np.ones(len(H))
+            vec[C] = solve(matrix[np.ix_(C, C)] / diag, rhs)
+        cols.append(vec)
+    return np.column_stack(cols)
+
+
+def loop_tree_vectors(sub, dec):
+    """Reference: one GTH null vector per reach, one-node cabals included."""
+    cols = []
+    for reach in dec:
+        order, W = kernels._restricted_weights(sub, reach.cabal)
+        vec = np.zeros(sub.n)
+        vec[[sub.index(v) for v in order]] = kernels._gth_null_vector(W)
+        cols.append(vec / float(vec @ sub.masses))
+    return np.column_stack(cols)
+
+
+def test_one_node_reaches_fill_the_same_columns_as_the_loop():
+    rng = np.random.default_rng(261)
+    graphs = [S.random_graph(rng, max_nodes=12) for _ in range(60)]
+    singles = 0
+    for g in graphs + wide_weight_graphs(30, 262):
+        cs = build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed")
+        index = {v: k for k, v in enumerate(g.nodes)}
+        sub = cs.subgraph()
+        sub_t = transpose(sub)
+        for side, dec in ((sub, cs.decomposition), (sub_t, reaches(sub_t))):
+            lap = laplacian(side, "in").matrix
+            assert np.array_equal(
+                kernels._indicator_vectors(lap, dec, index),
+                loop_indicator_vectors(lap, dec, index),
+            )
+            assert np.array_equal(
+                kernels._tree_vectors(side, dec, index), loop_tree_vectors(side, dec)
+            )
+            singles += sum(len(reach.nodes) == 1 for reach in dec)
+    assert singles > 100

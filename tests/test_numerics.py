@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import support as S
+from support import TOL_OPNORM
+from lapcoarse import numerics
 from lapcoarse.errors import (
     MatrixTooLarge,
     NonFiniteMatrix,
@@ -112,8 +114,74 @@ def test_opnorm_matches_the_largest_singular_value_at_any_scale():
         for scale in (1.0, 1e-200, 1e150):
             sym = mass_symmetrize(scale * a, m)
             want = np.linalg.svd(sym, compute_uv=False)[0]
-            assert abs(weighted_opnorm(scale * a, m) - want) <= 1e-13 * want
+            assert abs(weighted_opnorm(scale * a, m) - want) <= TOL_OPNORM * want
     assert weighted_opnorm(np.zeros((4, 4)), np.ones(4)) == 0.0
+
+
+def decaying_matrix(rng, n: int, complex_entries: bool):
+    """Random n x n matrix with singular values 1/(k + 1), like a resolvent difference."""
+    def unitary():
+        a = rng.normal(size=(n, n))
+        if complex_entries:
+            a = a + 1j * rng.normal(size=(n, n))
+        return np.linalg.qr(a)[0]
+
+    return (unitary() * (1.0 / np.arange(1, n + 1))) @ unitary()
+
+
+def spy_certificates(monkeypatch):
+    outcomes = []
+    original = numerics._bounds_spectrum
+
+    def spy(gram, theta):
+        outcomes.append(original(gram, theta))
+        return outcomes[-1]
+
+    monkeypatch.setattr(numerics, "_bounds_spectrum", spy)
+    return outcomes
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 100, 400])
+def test_certified_opnorm_matches_the_largest_singular_value(offset, monkeypatch):
+    n = numerics._LANCZOS_MIN_N + offset
+    rng = np.random.default_rng(n)
+    m = rng.uniform(0.1, 10.0, size=n)
+    outcomes = spy_certificates(monkeypatch)
+    for complex_entries in (False, True):
+        a = decaying_matrix(rng, n, complex_entries)
+        want = np.linalg.svd(mass_symmetrize(a, m), compute_uv=False)[0]
+        for scale in (1e-200, 1e150):
+            got = weighted_opnorm(scale * a, m)
+            assert abs(got - scale * want) <= TOL_OPNORM * scale * want
+    # below the crossover the eigensolve answers; from it on, Lanczos, certified
+    assert outcomes == ([] if offset < 0 else [True] * 4)
+
+
+@pytest.mark.parametrize("n", [numerics._LANCZOS_MIN_N, 200])
+def test_opnorm_of_a_repeated_top_singular_value(n):
+    rng = np.random.default_rng(n + 1)
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    for c in (3.0, 1e-200, 1e150):
+        assert abs(weighted_opnorm(c * q, np.ones(n)) - c) <= TOL_OPNORM * c
+
+
+def test_an_uncertified_lanczos_estimate_falls_back_to_the_eigensolve(monkeypatch):
+    n = 200
+    rng = np.random.default_rng(n + 2)
+    a = decaying_matrix(rng, n, False)
+    m = rng.uniform(0.5, 2.0, size=n)
+    sym = mass_symmetrize(a, m)
+    scale = np.abs(sym).max()
+    unit = sym / scale
+    gram = unit.T @ unit
+    eig_value = scale * np.sqrt(np.linalg.eigvalsh(gram)[-1])
+    original = numerics._lanczos_top
+    monkeypatch.setattr(numerics, "_lanczos_top", lambda g: (1.0 - 1e-11) * original(g))
+    outcomes = spy_certificates(monkeypatch)
+    assert weighted_opnorm(a, m) == eig_value
+    assert outcomes == [False]
+    want = np.linalg.svd(sym, compute_uv=False)[0]
+    assert abs(eig_value - want) <= TOL_OPNORM * want
 
 
 def test_projector_opnorm_is_at_least_one():
