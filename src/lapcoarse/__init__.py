@@ -49,7 +49,6 @@ from .harness import (
     gap_bound_check,
     heat_diff,
     resolvent_diff,
-    scaled_graph,
     sweep,
 )
 from .io import (
@@ -116,7 +115,6 @@ __all__ = [
     "riesz_projector",
     "right_kernel_in",
     "scale_edges",
-    "scaled_graph",
     "serialize_coarsening",
     "serialize_graph",
     "serialize_sweep",

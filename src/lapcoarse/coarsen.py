@@ -19,7 +19,10 @@ conserved, and the reduced-graph Laplacian equals the compression
 down @ L_background @ up exactly (self-loops created by contraction are
 dropped; they never enter a Laplacian).  The compression identity is
 recomputed on every call and cross-checked against the Laplacian assembled
-from the reduced graph itself.
+from the reduced graph itself.  Every product with down and up is taken on
+the two blocks of the basis' :class:`ClusterSplit`: the cluster nodes
+against the reaches on them, and an elementwise outside diagonal, read
+from the arrays rather than assumed to be 1.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
     ReductionMismatch,
 )
 from .graph import Graph, LaplacianMatrix, build_graph, is_undirected, laplacian
-from .kernels import KernelBasis, kernels_in, kernels_out, kernels_undirected
+from .kernels import ClusterSplit, KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
     TOL_DISTRIBUTION,
     TOL_MASS_CONSERVATION,
@@ -64,7 +67,8 @@ class CoarseningResult:
     node ids join the sorted member ids with ``+``; ``node_map`` lists the
     members of each reduced node (reaches may share common nodes, so the
     member tuples of the directed modes can overlap).  ``basis`` is the
-    kernel basis the operators were built from.
+    kernel basis the operators were built from, and ``split`` the blocks
+    of ``up`` and ``down.T`` in the reduced node order.
     """
 
     mode: CoarsenMode
@@ -76,6 +80,7 @@ class CoarseningResult:
     reduced_laplacian: LaplacianMatrix
     node_map: dict[str, tuple[str, ...]]
     basis: KernelBasis
+    split: ClusterSplit
 
     def __post_init__(self) -> None:
         self.down.setflags(write=False)
@@ -94,7 +99,13 @@ def _cross_check(
     reduced: Graph,
     compressed: np.ndarray,
     kind,
+    split: ClusterSplit | None = None,
 ) -> LaplacianMatrix:
+    """The reduced-graph Laplacian, once it matches the compression.
+
+    Also checks ``down @ up = I``, on the blocks of ``split`` when given,
+    and that the total mass is kept.
+    """
     lap = laplacian(reduced, kind)
     scale = max(1.0, float(np.abs(lap.matrix).max()))
     lap_resid = float(np.abs(compressed - lap.matrix).max())
@@ -103,7 +114,9 @@ def _cross_check(
             f"{mode} compression disagrees with the reduced-graph Laplacian "
             f"by {lap_resid:.3e}"
         )
-    identity_resid = float(np.abs(down @ up - np.eye(reduced.n)).max())
+    if split is None:
+        split = ClusterSplit.whole(*up.shape)
+    identity_resid = split.pairing_residual(down.T, up)
     if not identity_resid <= TOL_REDUCED_LAPLACIAN:
         raise ReductionMismatch(
             f"down @ up deviates from the identity by {identity_resid:.3e}"
@@ -163,29 +176,30 @@ def _assemble(
     if not np.all(coarse_mass > 0.0):
         raise ReductionMismatch("a reduced node received non-positive mass")
     background = cluster_set.background()
+    split = basis.split
     if mode == "undirected":
         # Indicator block sums, mirrored so the reduced graph is exactly
         # symmetric: mass * (W / mass) is not when 1 / mass is inexact, and
         # a block and its transpose are summed in different orders.
-        aggregate = right.T @ background.weights @ right
+        aggregate = split.sandwich(right, background.weights, right)
         aggregate = 0.5 * (aggregate + aggregate.T)
     elif kind == "in":
-        aggregate = coarse_mass[:, None] * ((left.T @ background.weights) @ right)
+        aggregate = coarse_mass[:, None] * split.sandwich(left, background.weights, right)
     else:
-        aggregate = ((left.T @ background.weights) @ right) * coarse_mass[None, :]
+        aggregate = split.sandwich(left, background.weights, right) * coarse_mass[None, :]
     labels = [r.label for r in basis.decomposition]
     reduced = build_graph(
         zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
     )
-    compressed = down @ laplacian(background, kind).matrix @ up
+    compressed = split.sandwich(down.T, laplacian(background, kind).matrix, up)
     perm = _label_permutation(labels, reduced)
-    down, up = down[perm], up[:, perm]
-    compressed = compressed[np.ix_(perm, perm)]
-    lap = _cross_check(mode, graph, down, up, reduced, compressed, kind)
+    down, up, split = down[perm], up[:, perm], split.permuted(perm)
+    compressed = compressed.take(perm, axis=0).take(perm, axis=1)
+    lap = _cross_check(mode, graph, down, up, reduced, compressed, kind, split)
     members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
     node_map = {label: members[label] for label in reduced.nodes}
     return CoarseningResult(
-        mode, graph, cluster_set, reduced, down, up, lap, node_map, basis
+        mode, graph, cluster_set, reduced, down, up, lap, node_map, basis, split
     )
 
 

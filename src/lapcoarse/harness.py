@@ -7,24 +7,29 @@ transfer operators, at rate 1/beta.  The transfer operators themselves do
 not depend on beta, so each harness call coarsens once and compares
 against a ladder of scaled graphs.
 
-Neither does most of the scaled Laplacian: scaling touches only cluster
-edges, so its rows and columns at the nodes outside every cluster are the
-same at each beta.  A sweep eliminates that block once and, per beta,
-inverts only the Schur complement on the cluster nodes; every difference
-is still the dense norm of the whole scaled resolvent minus the lifted
-reduced one, and the z-guard still sees the whole scaled Laplacian.
+The scaled Laplacian is L + (beta - 1) A, A the Laplacian of the cluster
+edges.  A is zero off the p cluster nodes, where up, down and the kernel
+projector are diagonal: every other node is its own reduced node, the
+nearly decomposable structure of Courtois (1977).  One cluster-block
+engine, built once per call, holds L with the cluster nodes first, the
+p x p block of A, the Gershgorin disks of the other rows and columns and
+the elimination of the outside block of L - z; per beta it forms only
+L_cc + (beta - 1) A_cc, the cluster rows of the z-guard and the Schur
+complement.  ``sweep`` and ``resolvent_diff`` run on it, and each
+difference is still the dense norm of the whole resolvent difference.
 
 The gap bound check measures the distance between the resolvent of the
 scaled cluster subgraph and the rank-preserving part of its kernel
 projector; for mass-symmetrizable cluster subgraphs and negative real z
-this distance equals 1/|gap - z| exactly, which pins both the projector
-and the spectral gap computation at once.
+it equals 1/|gap - z| exactly, which pins both the projector and the
+spectral gap at once.  It is taken on the p x p block and the outside
+diagonal, where that resolvent is -1/z.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -38,7 +43,7 @@ from .errors import (
     SingularMatrix,
     ZOnSpectrumAxis,
 )
-from .graph import Graph, Kind, laplacian, scale_edges
+from .graph import Graph, laplacian
 from .numerics import (
     EPS,
     TOL_LEMMA_EQUALITY,
@@ -48,7 +53,7 @@ from .numerics import (
     spectral_gap,
     weighted_opnorm,
 )
-from .riesz import riesz_from_kernels
+from .riesz import projector_blocks
 
 __all__ = [
     "GapBoundReport",
@@ -56,7 +61,6 @@ __all__ = [
     "gap_bound_check",
     "heat_diff",
     "resolvent_diff",
-    "scaled_graph",
     "sweep",
 ]
 
@@ -64,98 +68,90 @@ _UNDERFLOW = 1e-15
 _Z_CLEARANCE = 1e-12
 
 
-def _kind(mode: CoarsenMode) -> Kind:
-    return "out" if mode == "out" else "in"
+def _multiplier(value: float) -> float:
+    if not (value > 0) or not np.isfinite(value):
+        raise NonPositiveWeight(f"scaling factor must be positive and finite, got {value!r}")
+    return float(value)
 
 
-def scaled_graph(graph: Graph, cluster_set: ClusterSet, beta: float) -> Graph:
-    """Parent graph with every cluster edge weight multiplied by ``beta``."""
-    if not (beta > 0) or not np.isfinite(beta):
-        raise NonPositiveWeight(f"scaling factor must be positive, got {beta!r}")
-    return scale_edges(graph, cluster_set.total_edges, beta)
+def _disks(matrix: np.ndarray, masses: np.ndarray) -> np.ndarray:
+    """Gershgorin disks of a real ``matrix``: centres, row radii, radii of the
+    columns of ``M matrix M^-1``, and the diagonal."""
+    mags, disks = np.abs(matrix), np.empty((4, len(matrix)))
+    disks[0] = np.diagonal(mags)
+    disks[1] = mags.sum(axis=1) - disks[0]
+    disks[2] = (masses @ mags) / masses - disks[0]
+    disks[3] = np.diagonal(matrix)
+    return disks
 
 
-def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) -> float:
-    """Lower bound on the distance from ``z`` to the spectrum of ``matrix``.
+def _clearance(disks: np.ndarray, z: complex) -> float:
+    """Lower bound on the distance from ``z`` to the spectrum ``disks`` enclose.
 
-    The row disks of ``matrix`` and the column disks of the similar matrix
-    ``M matrix M^-1`` each enclose the spectrum, so each gives a bound; the
-    larger is kept, less a rounding slack of
-    ``2 n eps (max centre + max radius + |z|)`` so that it is never
-    optimistic.  The disks of an in-Laplacian (rows) and of an
-    out-Laplacian (mass-similar columns) touch 0 and lie in Re >= 0, so
-    for Re z < 0 the bound is at least |Re z| less the slack.
+    The row and the column disks each enclose it; the better bound is kept,
+    less a slack ``2 n eps (max centre + max radius + |z|)`` for rounding.
+    The disks of an in-Laplacian (rows) and of an out-Laplacian (columns)
+    lie in Re >= 0, so for Re z < 0 the bound is |Re z| less the slack.
     """
-    mags = np.abs(matrix)
-    centres = np.diagonal(mags)
-    rows = mags.sum(axis=1) - centres
-    cols = (masses @ mags) / masses - centres
-    offsets = np.abs(np.diagonal(matrix) - z)
-    bound = max(np.min(offsets - rows), np.min(offsets - cols))
-    radius = max(rows.max(), cols.max())
-    slack = 2 * len(mags) * EPS * (centres.max() + radius + abs(z))
+    centre, rows, cols = disks[:3].max(axis=1, initial=0.0)
+    bound = (np.abs(disks[3] - z) - disks[1:3]).min(axis=1, initial=np.inf).max()
+    slack = 2 * disks.shape[1] * EPS * (centre + max(rows, cols) + abs(z))
     return float(bound - slack)
 
 
-def _guard_z(matrix: np.ndarray, masses: np.ndarray, z: complex) -> None:
+def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) -> float:
+    return _clearance(_disks(matrix, masses), z)
+
+
+def _guard_z(z: complex, clearance: float, matrix: Callable[[], np.ndarray]) -> None:
     """Raise ZOnSpectrumAxis when ``z`` comes within clearance of the spectrum.
 
     ``z`` must keep ``_Z_CLEARANCE`` from the nonnegative real axis and from
-    every eigenvalue of ``matrix``, a Laplacian with node ``masses``.  The
-    Gershgorin bound settles the common case (every Re z < 0) in O(n^2);
-    only when it does not clear ``z`` are the eigenvalues computed.
+    every eigenvalue of ``matrix()``, a Laplacian.  The Gershgorin bound
+    ``clearance`` settles the common case (every Re z < 0); only when it
+    does not clear ``z`` is the matrix built and its eigenvalues computed.
     """
     zc = complex(z)
     axis_dist = abs(zc.imag) if zc.real >= 0 else abs(zc)
     if axis_dist < _Z_CLEARANCE:
-        raise ZOnSpectrumAxis(
-            f"z = {z!r} lies on the nonnegative real axis"
-        )
-    if _gershgorin_clearance(matrix, masses, zc) >= _Z_CLEARANCE:
+        raise ZOnSpectrumAxis(f"z = {z!r} lies on the nonnegative real axis")
+    if clearance >= _Z_CLEARANCE:
         return
-    clearance = float(np.abs(eigvals(matrix) - zc).min())
+    clearance = float(np.abs(eigvals(matrix()) - zc).min())
     if clearance < _Z_CLEARANCE:
-        raise ZOnSpectrumAxis(
-            f"z = {z!r} is within {clearance:.3e} of the spectrum"
-        )
+        raise ZOnSpectrumAxis(f"z = {z!r} is within {clearance:.3e} of the spectrum")
 
 
 def _resolvent(matrix: np.ndarray, masses: np.ndarray, z: complex) -> np.ndarray:
-    _guard_z(matrix, masses, z)
+    _guard_z(z, _gershgorin_clearance(matrix, masses, complex(z)), lambda: matrix)
     return inverse(matrix - z * np.eye(matrix.shape[0]))
 
 
 def _eliminate_outside(
-    matrix: np.ndarray, order: np.ndarray, p: int, z: complex
+    matrix: np.ndarray, p: int, z: complex
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Resolvents of matrices that agree with ``matrix`` off the inside block.
+    """Resolvents of matrices that agree with ``matrix`` off its leading p x p block.
 
-    ``order`` lists the inside indices, then the outside ones.  Split
-    ``matrix - z`` over the first ``p`` of them and the rest as
-    ``[[A, B], [C, D]]``.  ``D^-1``, ``-D^-1 C``, ``-B D^-1`` and
-    ``-B D^-1 C`` are formed here, once; the returned function inverts
-    ``m - z`` for any ``m`` whose B, C and D blocks equal these, at the
-    cost of one inverse of the Schur complement ``S = A - B D^-1 C`` and
-    three products:
+    Split ``matrix - z`` at ``p`` as ``[[A, B], [C, D]]``.  ``D^-1``,
+    ``-D^-1 C``, ``-B D^-1`` and ``-B D^-1 C`` are formed here, once; given
+    another leading block ``m``, the returned function inverts the matrix
+    minus z by one inverse of ``S = m - z - B D^-1 C`` and three products:
 
-        (m - z)^-1 = [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
+        [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
 
-    Its rows and columns are in ``order``.  Raises SingularMatrix when
-    ``D`` fails the pivot gate, and the returned function does when ``S``
-    does.
+    Raises SingularMatrix when ``D`` fails the pivot gate, and the
+    returned function does when ``S`` does.
     """
     n = matrix.shape[0]
-    inside, outside = order[:p], order[p:]
-    d_inv = inverse(matrix[np.ix_(outside, outside)] - z * np.eye(n - p))
-    c = matrix[np.ix_(outside, inside)]
+    d_inv = inverse(matrix[p:, p:] - z * np.eye(n - p))
+    c = matrix[p:, :p]
     lower = -(d_inv @ c)
-    right = -(matrix[np.ix_(inside, outside)] @ d_inv)
+    right = -(matrix[:p, p:] @ d_inv)
     schur_shift = right @ c
     shift = z * np.eye(p)
-    block = np.ix_(inside, inside)
 
-    def resolve(m: np.ndarray) -> np.ndarray:
-        schur = m[block] - shift
+    def resolve(block: np.ndarray) -> np.ndarray:
+        schur = block - shift
         schur += schur_shift
         s_inv = inverse(schur)
         out = np.empty((n, n), dtype=np.result_type(s_inv, d_inv))
@@ -169,6 +165,54 @@ def _eliminate_outside(
     return resolve
 
 
+def _resolvent_diffs(
+    graph: Graph, result: CoarseningResult, multipliers: list[float], z: complex
+) -> list[float]:
+    """The engine: norms of ``(L + (m - 1) A - z)^-1`` minus the lifted reduced resolvent.
+
+    In ``order``, the p cluster nodes first, A vanishes off the leading
+    p x p block, so the other rows and columns and their Gershgorin disks
+    are those of L for every m.  When the outside block fails the pivot
+    gate (only possible for Re z >= 0) whole matrices are inverted.
+    """
+    split, p = result.split, len(result.split.inside)
+    order = np.concatenate([split.inside, split.outside])
+    masses = graph.masses[order]
+    lap = laplacian(graph, result.basis.kind).matrix[order[:, None], order]
+    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
+    lifted = split.lift(result.up, red, result.down.T)
+    disks = _disks(lap, masses)
+    # the outside columns' part of the cluster row radii, and conversely
+    rest_rows = np.abs(lap[:p, p:]).sum(axis=1)
+    rest_cols = (masses[p:] @ np.abs(lap[p:, :p])) / masses[:p]
+
+    def whole(block: np.ndarray) -> np.ndarray:
+        out = lap.copy()
+        out[:p, :p] = block
+        return out
+
+    try:
+        resolve = _eliminate_outside(lap, p, z)
+    except SingularMatrix:
+
+        def resolve(block: np.ndarray) -> np.ndarray:
+            return inverse(whole(block) - z * np.eye(len(lap)))
+
+    diffs = []
+    for m in multipliers:
+        block = lap[:p, :p] + (m - 1.0) * result.basis.cluster_block
+        disks[:, :p] = _disks(block, masses[:p])
+        disks[1, :p] += rest_rows
+        disks[2, :p] += rest_cols
+        _guard_z(z, _clearance(disks, complex(z)), lambda: whole(block))
+        # each n x n temporary is dropped once used
+        full = resolve(block)
+        full -= lifted
+        diffs.append(weighted_opnorm(full, masses))
+        del full
+    return diffs
+
+
 def resolvent_diff(
     graph: Graph,
     cluster_set: ClusterSet,
@@ -178,13 +222,8 @@ def resolvent_diff(
     result: CoarseningResult | None = None,
 ) -> float:
     """Mass operator norm of resolvent(full, scaled) minus lifted resolvent(reduced)."""
-    if result is None:
-        result = coarsen(graph, cluster_set, mode)
-    scaled = scaled_graph(graph, cluster_set, beta)
-    full = _resolvent(laplacian(scaled, _kind(mode)).matrix, graph.masses, z)
-    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
-    diff = full - result.up @ red @ result.down
-    return weighted_opnorm(diff, graph.masses)
+    beta = _multiplier(beta)
+    return _resolvent_diffs(graph, result or coarsen(graph, cluster_set, mode), [beta], z)[0]
 
 
 def heat_diff(
@@ -198,13 +237,14 @@ def heat_diff(
     """Mass operator norm of exp(-t L_scaled) minus the lifted reduced heat kernel."""
     if not (t > 0) or not np.isfinite(t):
         raise NonPositiveTime(f"time must be positive, got {t!r}")
+    beta = _multiplier(beta)
     if result is None:
         result = coarsen(graph, cluster_set, mode)
-    scaled = scaled_graph(graph, cluster_set, beta)
-    full = matrix_exp(laplacian(scaled, _kind(mode)).matrix, -t)
-    red = matrix_exp(result.reduced_laplacian.matrix, -t)
-    diff = full - result.up @ red @ result.down
-    return weighted_opnorm(diff, graph.masses)
+    kind = result.basis.kind
+    cluster = laplacian(cluster_set.subgraph(), kind).matrix
+    full = matrix_exp(laplacian(graph, kind).matrix + (beta - 1.0) * cluster, -t)
+    full -= result.up @ matrix_exp(result.reduced_laplacian.matrix, -t) @ result.down
+    return weighted_opnorm(full, graph.masses)
 
 
 @dataclass(frozen=True)
@@ -250,24 +290,27 @@ def gap_bound_check(
 ) -> GapBoundReport:
     """Compare the cluster resolvent against its kernel-projector limit.
 
-    The reported distance is the mass operator norm of
-    (L_cluster - z)^-1 - P/(-z) on the scaled cluster subgraph; for
-    negative real z and a mass-symmetrizable cluster subgraph it equals
-    1/(gap - z) exactly.  The full-graph resolvent difference at the
-    same scaling is measured alongside, so callers can fit the constant
-    in the 1/gap convergence bound.  Raises NotSymmetrizable when the
-    gap is not defined by a real spectrum.
+    The distance is the mass operator norm of (L_cluster - z)^-1 - P/(-z)
+    on the scaled cluster subgraph; for negative real z and a
+    mass-symmetrizable cluster subgraph it equals 1/(gap - z) exactly.
+    L_cluster is zero and P diagonal off the p cluster nodes, so the
+    inverse, z-guard and gap are those of the p x p block (the zero block
+    adds the eigenvalue 0, which the axis check keeps z clear of), and the
+    norm is the larger of the block's and the outside diagonal's.  The
+    full-graph difference at the same scaling comes alongside, for the
+    constant of the 1/gap bound.  Raises NotSymmetrizable when the gap is
+    not defined by a real spectrum.
     """
-    kind = _kind(mode)
-    sub = scaled_graph(cluster_set.subgraph(), cluster_set, beta)
-    lap = laplacian(sub, kind).matrix
+    beta = _multiplier(beta)
     result = coarsen(graph, cluster_set, mode)
-    projector = riesz_from_kernels(result.basis)
-    if z == 0:
-        raise ZOnSpectrumAxis("z = 0 lies in the cluster Laplacian spectrum")
-    res = _resolvent(lap, graph.masses, z)
-    distance = weighted_opnorm(res - projector / (-z), graph.masses)
-    gap = spectral_gap(lap, graph.masses)
+    projector, outside = projector_blocks(result.basis)
+    masses = graph.masses[result.basis.split.inside]
+    lap = beta * result.basis.cluster_block
+    res = _resolvent(lap, masses, z)
+    res -= projector / (-z)
+    off = np.abs(1.0 / (-z) - outside / (-z)).max(initial=0.0)
+    distance = float(np.maximum(weighted_opnorm(res, masses), off))
+    gap = spectral_gap(lap, masses)
     full = resolvent_diff(graph, cluster_set, mode, beta, z, result=result)
     return GapBoundReport(beta, z, distance, gap, full)
 
@@ -314,14 +357,10 @@ def sweep(
     """Measure resolvent convergence along an increasing ladder of betas.
 
     Each difference is the mass operator norm of the dense scaled resolvent
-    minus the lifted reduced one.  Scaling touches only cluster edges, whose
-    endpoints are the cluster nodes, so the rows and columns of ``L_beta - z``
-    at every other node are the same for each beta: they are eliminated
-    once (:func:`_eliminate_outside`), and each beta inverts only the Schur
-    complement on the cluster nodes.  When the outside block fails the
-    pivot gate (possible only for Re z >= 0), whole matrices are inverted
-    for the sweep instead.  The z-guard runs on the whole scaled Laplacian
-    at every beta.
+    minus the lifted reduced one, from the cluster-block engine: the rows
+    and columns of ``L_beta - z`` off the p cluster nodes are eliminated
+    once, and each beta forms ``L_cc + (beta - 1) A_cc``, guards z on the
+    whole matrix through its cluster rows and inverts the Schur complement.
 
     The log-log slope of the differences against beta is fitted by least
     squares; the smallest beta is left out of the fit when more than three
@@ -339,55 +378,22 @@ def sweep(
     notes: list[str] = []
     if cluster_scale is not None:
         notes.append("custom cluster scaling in effect: no rate guarantee")
+    multipliers = [_multiplier(cluster_scale(b) if cluster_scale else b) for b in ladder]
     if result is None:
         result = coarsen(graph, cluster_set, mode)
-    kind = _kind(mode)
-    inside = {graph.index(v) for v in cluster_set.cluster_nodes}
-    order = np.array(sorted(inside) + sorted(set(range(graph.n)) - inside), dtype=int)
-    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
-    lifted = result.up[order] @ red @ result.down[:, order]
-    masses = graph.masses[order]
     try:
         # the cluster subgraph's Laplacian scales exactly with the multiplier
-        sub_lap = laplacian(cluster_set.subgraph(), kind).matrix
-        gap: float | None = spectral_gap(sub_lap, graph.masses)
+        cluster = result.basis.cluster_block
+        gap: float | None = spectral_gap(cluster, graph.masses[result.split.inside])
     except NotSymmetrizable:
         gap = None
         notes.append("cluster subgraph is not mass-symmetrizable; gaps omitted")
-    try:
-        # the outside block of L_beta - z is that of L - z for every beta
-        resolve = _eliminate_outside(laplacian(graph, kind).matrix, order, len(inside), z)
-    except SingularMatrix:
-
-        def resolve(m: np.ndarray) -> np.ndarray:
-            return inverse(m - z * np.eye(graph.n))[np.ix_(order, order)]
-
-    diffs: list[float] = []
-    multipliers: list[float] = []
-    for beta in ladder:
-        multiplier = float(cluster_scale(beta)) if cluster_scale else beta
-        if not (multiplier > 0) or not np.isfinite(multiplier):
-            raise NonPositiveWeight(
-                f"cluster scale produced a non-positive multiplier {multiplier!r}"
-            )
-        multipliers.append(multiplier)
-        # each n x n temporary is dropped once used: two fewer are alive at the peak
-        scaled = scale_edges(graph, cluster_set.total_edges, multiplier)
-        matrix = laplacian(scaled, kind).matrix
-        del scaled
-        _guard_z(matrix, graph.masses, z)
-        full = resolve(matrix)
-        del matrix
-        full -= lifted
-        diffs.append(weighted_opnorm(full, masses))
-        del full
+    diffs = _resolvent_diffs(graph, result, multipliers, z)
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         notes.append("resolvent differences are not monotone along the ladder")
     usable = [i for i, d in enumerate(diffs) if d > _UNDERFLOW]
     if len(usable) < len(diffs):
-        dropped = ", ".join(
-            str(ladder[i]) for i in range(len(diffs)) if i not in usable
-        )
+        dropped = ", ".join(str(ladder[i]) for i in range(len(diffs)) if i not in usable)
         notes.append(f"differences underflowed at beta = {dropped}; fit excludes them")
     fit = usable[1:] if len(usable) >= 4 else usable
     slope: float | None = None
@@ -402,12 +408,5 @@ def sweep(
             )
     else:
         notes.append("too few usable entries for a slope fit")
-    return SweepReport(
-        mode,
-        z,
-        tuple(ladder),
-        tuple(diffs),
-        slope,
-        None if gap is None else tuple(gap * m for m in multipliers),
-        tuple(notes),
-    )
+    gaps = None if gap is None else tuple(gap * m for m in multipliers)
+    return SweepReport(mode, z, tuple(ladder), tuple(diffs), slope, gaps, tuple(notes))

@@ -7,17 +7,20 @@ squaring, Pade 13 inside scipy), QR eigenvalues and an SVD null-space
 oracle.  Everything is dense; the guard :data:`SIZE_LIMIT` keeps callers
 honest about the desk-scale design.
 
-The operator norm is the top singular value, taken from the Gram matrix.
-On larger matrices a Lanczos estimate replaces the full eigensolve, and a
-Cholesky factorization proves it is the top eigenvalue to a stated
-relative bound (the floating-point criterion of Rump 2006); without that
-proof the eigensolve answers.
+The operator norm is the top singular value, taken from the Gram matrix,
+which a symmetric or Hermitian rank-k update forms in one triangle; every
+reader of it reads that triangle.  On larger matrices a Lanczos estimate
+replaces the full eigensolve, and a Cholesky factorization proves it is
+the top eigenvalue to a stated relative bound (the floating-point
+criterion of Rump 2006); without that proof the eigensolve answers.
 
 Every tolerance the package's gates read lives in the table below; the
 tests keep their own thresholds beside their fixtures.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import scipy.linalg
@@ -67,9 +70,21 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise MatrixTooLarge(
             f"{name} has shape {arr.shape}, above the dense-kernel limit {SIZE_LIMIT}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteMatrix(f"{name} contains NaN or Inf entries")
     return arr
+
+
+@functools.lru_cache(maxsize=None)
+def _lapack(name: str, dtype: np.dtype):
+    """LAPACK routine ``name`` for ``dtype``, looked up once: the lookup
+    costs more than the call on the small matrices of a reduced graph."""
+    return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _blas(name: str, dtype: np.dtype):
+    return scipy.linalg.get_blas_funcs((name,), dtype=dtype)[0]
 
 
 def _lu_factor(a: np.ndarray):
@@ -79,10 +94,9 @@ def _lu_factor(a: np.ndarray):
     ``n * eps * norm(a, inf)``, i.e. when the factorization cannot be
     trusted rather than only on exact singularity.
     """
-    (getrf,) = scipy.linalg.get_lapack_funcs(("getrf",), (a,))
-    lu, piv, _ = getrf(a)
-    smallest = float(np.min(np.abs(np.diagonal(lu))))
-    threshold = a.shape[0] * EPS * np.linalg.norm(a, np.inf)
+    lu, piv, _ = _lapack("getrf", a.dtype)(a)
+    smallest = float(np.abs(lu.diagonal()).min())
+    threshold = a.shape[0] * EPS * np.abs(a).sum(axis=1).max()
     if smallest <= threshold:
         raise SingularMatrix(f"pivot {smallest:.3e} below threshold {threshold:.3e}")
     return lu, piv
@@ -121,9 +135,8 @@ def inverse(a) -> np.ndarray:
     if n == 0:
         return np.zeros_like(a)
     lu, piv = _lu_factor(a)
-    getri, getri_lwork = scipy.linalg.get_lapack_funcs(("getri", "getri_lwork"), (lu,))
-    lwork = int(getri_lwork(n)[0].real)
-    inv, _ = getri(lu, piv, lwork=lwork, overwrite_lu=True)
+    lwork = int(_lapack("getri_lwork", lu.dtype)(n)[0].real)
+    inv, _ = _lapack("getri", lu.dtype)(lu, piv, lwork=lwork, overwrite_lu=True)
     return inv
 
 
@@ -147,22 +160,34 @@ def weighted_opnorm(a, masses) -> float:
     accuracy eps).
     """
     sym = mass_symmetrize(a, masses)
-    scale = float(np.max(np.abs(sym), initial=0.0))
+    scale = float(np.abs(sym).max(initial=0.0))
     if scale == 0.0:
         return 0.0
     sym /= scale
-    gram = sym.conj().T @ sym
+    gram = _gram(sym)
     if gram.shape[0] >= _LANCZOS_MIN_N:
         theta = _lanczos_top(gram)
         if theta is not None and _bounds_spectrum(gram, theta):
             return scale * float(np.sqrt(theta))
-        gram = sym.conj().T @ sym
-    top = float(np.linalg.eigvalsh(gram)[-1])
+        gram = _gram(sym)
+    top = float(np.linalg.eigvalsh(gram, UPLO="L")[-1])
     return scale * float(np.sqrt(max(top, 0.0)))
 
 
+def _gram(sym: np.ndarray) -> np.ndarray:
+    """A matrix with the spectrum of ``sym^H sym``, Fortran-ordered, valid in its lower triangle.
+
+    Complex: BLAS ``herk`` forms ``sym^T conj(sym)``, the transpose of the
+    Gram matrix, without a conjugated copy.  Real: numpy already forms
+    ``sym^T sym`` by a symmetric rank-k update; its transpose is the same.
+    """
+    if np.iscomplexobj(sym):
+        return _blas("herk", sym.dtype)(1.0, sym.T, lower=1)
+    return (sym.T @ sym).T
+
+
 def _lanczos_top(gram: np.ndarray) -> float | None:
-    """Top Ritz value of Hermitian ``gram`` by Lanczos, or None if unsettled.
+    """Top Ritz value of a :func:`_gram` matrix by Lanczos, or None if unsettled.
 
     Full reorthogonalization (two passes against every earlier vector)
     keeps the basis orthonormal, so the Ritz value is a Rayleigh quotient
@@ -172,6 +197,7 @@ def _lanczos_top(gram: np.ndarray) -> float | None:
     after :data:`_LANCZOS_STEPS` steps without settling.
     """
     n = gram.shape[0]
+    product = _blas("hemv" if np.iscomplexobj(gram) else "symv", gram.dtype)
     steps = min(n, _LANCZOS_STEPS)
     basis = np.empty((steps, n), dtype=gram.dtype)
     tri = np.zeros((steps, steps))
@@ -180,7 +206,7 @@ def _lanczos_top(gram: np.ndarray) -> float | None:
     theta = 0.0
     for k in range(steps):
         done = basis[: k + 1]
-        w = gram @ done[k]
+        w = product(1.0, gram, done[k], lower=1)
         coeffs = done.conj() @ w
         w -= coeffs @ done
         w -= (done.conj() @ w) @ done
@@ -199,15 +225,14 @@ def _lanczos_top(gram: np.ndarray) -> float | None:
 def _bounds_spectrum(gram: np.ndarray, theta: float) -> bool:
     """True when ``theta (1 + tau) I - gram`` has a Cholesky factorization.
 
-    Overwrites ``gram``.  Its transpose is passed to LAPACK, which sees a
-    Fortran-ordered matrix with the same (real) spectrum and factors it in
-    place.
+    Overwrites the :func:`_gram` matrix ``gram``, whose lower triangle
+    LAPACK factors in place.
     """
     n = gram.shape[0]
     shifted = np.negative(gram, out=gram)
-    shifted.reshape(-1)[:: n + 1] += theta * (1.0 + _CERTIFY_SLACK * n * EPS)
-    (potrf,) = scipy.linalg.get_lapack_funcs(("potrf",), (shifted,))
-    _, info = potrf(shifted.T, lower=False, clean=False, overwrite_a=True)
+    diagonal = np.arange(n)
+    shifted[diagonal, diagonal] += theta * (1.0 + _CERTIFY_SLACK * n * EPS)
+    _, info = _lapack("potrf", shifted.dtype)(shifted, lower=True, clean=False, overwrite_a=True)
     return info == 0
 
 

@@ -33,25 +33,48 @@ __all__ = ["riesz_contour_oracle", "riesz_from_kernels"]
 
 def riesz_from_kernels(basis: KernelBasis) -> np.ndarray:
     """Spectral projector assembled from a biorthogonal kernel basis."""
-    proj = basis.right @ (basis.left * basis.graph.masses[:, None]).T
-    lap = laplacian(basis.cluster_set.subgraph(), basis.kind).matrix
-    scale = max(1.0, float(np.abs(proj).max()))
-    idem = float(np.abs(proj @ proj - proj).max()) / scale
-    lap_scale = max(1.0, float(np.abs(lap).max())) * scale
-    annih = (
-        max(float(np.abs(proj @ lap).max()), float(np.abs(lap @ proj).max()))
-        / lap_scale
-    )
-    rank_resid = abs(float(np.trace(proj)) - basis.size)
-    worst = float(np.max([idem, annih, rank_resid]))
+    core, diagonal = projector_blocks(basis)
+    split = basis.split
+    proj = np.zeros((basis.graph.n, basis.graph.n))
+    proj[np.ix_(split.inside, split.inside)] = core
+    proj[split.outside, split.outside] = diagonal
+    return proj
+
+
+def projector_blocks(basis: KernelBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The projector on the inside nodes, and its outside diagonal.
+
+    The projector is zero elsewhere, so the gate (idempotency, annihilation
+    of the cluster Laplacian on both sides, rank) is taken on the two
+    blocks, after checking that no basis entry lies off them.
+    """
+    split = basis.split
+    r_core, r_diag, r_stray = split.blocks(basis.right)
+    w_core, w_diag, w_stray = split.blocks(basis.left * basis.graph.masses[:, None])
+    core, diagonal = r_core @ w_core.T, r_diag * w_diag
+    lap = basis.cluster_block
+    scale = max(1.0, _largest(core, diagonal))
+    idem = _largest(core @ core - core, diagonal * diagonal - diagonal) / scale
+    annih = _largest(core @ lap, lap @ core) / (max(1.0, _largest(lap)) * scale)
+    rank_resid = abs(float(np.trace(core) + diagonal.sum()) - basis.size)
+    stray = r_stray + w_stray
+    worst = float(np.array([idem, annih, rank_resid, stray]).max())
     if not worst <= TOL_DEFECT:
         raise ProjectorDefect(
             "projector residual {:.3e} exceeds {:.1e} (idempotency {:.3e}, "
-            "annihilation {:.3e}, rank {:.3e})".format(
-                worst, TOL_DEFECT, idem, annih, rank_resid
+            "annihilation {:.3e}, rank {:.3e}, off-block entries {})".format(
+                worst, TOL_DEFECT, idem, annih, rank_resid, stray
             )
         )
-    return proj
+    return core, diagonal
+
+
+def _largest(*arrays: np.ndarray) -> float:
+    """Largest absolute entry over the arrays; NaN when any entry is."""
+    out = 0.0
+    for a in arrays:
+        out = np.maximum(out, np.abs(a).max(initial=0.0))
+    return float(out)
 
 
 def riesz_projector(graph: Graph, cluster_set: ClusterSet, kind: Kind) -> np.ndarray:

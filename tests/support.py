@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from lapcoarse import build_cluster_set, build_graph
+from lapcoarse import build_cluster_set, build_graph, laplacian, scale_edges
 
 ALPHA, GAMMA, DELTA, RHO, ETA = 2.0, 3.0, 5.0, 7.0, 11.0
 
@@ -20,6 +20,9 @@ TOL_TRANSPORT = 1e-12        # probability transport conservation
 TOL_WEIGHT_VECTOR = 1e-10    # relative agreement of the two weight-vector routes
 TOL_SWEEP_ELIMINATION = 1e-10  # sweep vs per-beta resolvent_diff, relative, beta <= 1e4
 TOL_OPNORM = 1e-13           # weighted operator norm vs the SVD's top singular value
+TOL_ORACLE = 1e-11           # harness vs the whole-matrix oracle, relative, beta <= 1e4
+TOL_ORACLE_STIFF = 1e-8      # the same at beta = 1e6
+TOL_BLOCKS = 1e-14           # block-form coarsening vs whole-matrix products, relative
 
 
 def sym_pairs(u: str, v: str):
@@ -231,3 +234,80 @@ def random_distribution(rng: np.random.Generator, masses):
     """Positive vector normalized to unit mass-weighted total."""
     raw = rng.uniform(0.1, 1.0, size=len(masses))
     return raw / float(raw @ np.asarray(masses))
+
+
+# -- whole-matrix oracles --------------------------------------------------------
+#
+# Plain numpy on whole n x n matrices: the routes the package replaces by its
+# cluster blocks, kept here so that the harness and the coarsening are checked
+# against something that shares none of their block bookkeeping.
+
+
+def mass_norm(a, masses) -> float:
+    """Mass operator norm as the top singular value of ``M^(1/2) a M^(-1/2)``."""
+    s = np.sqrt(masses)
+    return float(np.linalg.svd(a * s[:, None] / s[None, :], compute_uv=False)[0])
+
+
+def scaled_laplacian(graph, cluster_set, kind: str, beta: float, cluster_only=False):
+    """Laplacian of the graph (or its cluster subgraph) with cluster weights times beta."""
+    g = cluster_set.subgraph() if cluster_only else graph
+    return laplacian(scale_edges(g, cluster_set.total_edges, beta), kind).matrix
+
+
+def oracle_resolvent_diff(graph, cluster_set, result, beta: float, z):
+    """``(L_beta - z)^-1 - up (L_red - z)^-1 down`` by plain inverses, SVD norm.
+
+    Returns the norm and its rounding floor ``eps cond(L_beta - z) |R|``,
+    the normwise forward-error bound of a computed inverse R (in the mass
+    norm): two correct computations may differ by that much, and at large
+    beta on an ill-conditioned graph it exceeds any relative threshold.
+    """
+    kind = "out" if result.mode == "out" else "in"
+    shifted = scaled_laplacian(graph, cluster_set, kind, beta) - z * np.eye(graph.n)
+    full = np.linalg.inv(shifted)
+    red = np.linalg.inv(result.reduced_laplacian.matrix - z * np.eye(result.size))
+    s = np.sqrt(graph.masses)
+    sigma = np.linalg.svd(shifted * s[:, None] / s[None, :], compute_uv=False)
+    floor = np.finfo(float).eps * sigma[0] / sigma[-1] ** 2
+    return mass_norm(full - result.up @ red @ result.down, graph.masses), floor
+
+
+def oracle_gap_check(graph, cluster_set, result, beta: float, z):
+    """Distance, gap and full difference (with its floor) of the gap bound check."""
+    kind = "out" if result.mode == "out" else "in"
+    lap = scaled_laplacian(graph, cluster_set, kind, beta, cluster_only=True)
+    res = np.linalg.inv(lap - z * np.eye(graph.n))
+    distance = mass_norm(res - result.up @ result.down / (-z), graph.masses)
+    s = np.sqrt(graph.masses)
+    sym = lap * s[:, None] / s[None, :]
+    eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
+    cut = graph.n * np.finfo(float).eps * max(float(eigs[-1]), 0.0)
+    gap = float(eigs[eigs > cut][0]) if np.any(eigs > cut) else 0.0
+    return (distance, gap) + oracle_resolvent_diff(graph, cluster_set, result, beta, z)
+
+
+def oracle_coarsening(result):
+    """``down``, ``up`` and aggregated weights from whole-matrix basis products.
+
+    Columns follow the reduced node order of ``result``; the aggregated
+    weights keep their diagonal, which the reduced graph drops.
+    """
+    basis, masses = result.basis, result.graph.masses
+    right, left = basis.right, basis.left
+    w = result.cluster_set.background().weights
+    if basis.kind == "in":
+        coarse = right.T @ masses
+        down, up = (left * masses[:, None]).T, right
+        aggregate = coarse[:, None] * ((left.T @ w) @ right)
+        if result.mode == "undirected":
+            aggregate = right.T @ w @ right
+            aggregate = 0.5 * (aggregate + aggregate.T)
+    else:
+        coarse = left.T @ masses
+        down = (left * masses[:, None]).T / coarse[:, None]
+        up = right * coarse[None, :]
+        aggregate = ((left.T @ w) @ right) * coarse[None, :]
+    where = {label: k for k, label in enumerate(basis.labels)}
+    perm = [where[v] for v in result.reduced.nodes]
+    return down[perm], up[:, perm], aggregate[np.ix_(perm, perm)]

@@ -353,6 +353,58 @@ def test_invariant_gates_fail_on_nan(gate, error):
         gate()
 
 
+def test_basis_and_projector_gates_reject_entries_off_the_blocks():
+    g = S.hub_pair()
+    basis = kernels_in(g, S.hub_pair_cluster(g))
+    outside, reach = g.index("1"), basis.labels.index("2+3")
+    stray = np.array(basis.right)
+    stray[outside, reach] = 1e-3
+    with pytest.raises(KernelDefect, match="off-block entries 1"):
+        lap = laplacian(basis.cluster_set.subgraph(), "in").matrix
+        _check_basis(lap, g.masses, stray, basis.left, stray, basis.split)
+    with pytest.raises(ProjectorDefect, match="off-block entries 1"):
+        riesz_from_kernels(dataclasses.replace(basis, right=stray))
+
+
+def off_unit_mass_case(rng, mode: str):
+    """A random graph whose nodes outside the clusters weigh 49, and its cluster set.
+
+    fl(1/49) * 49 is not 1, so the outside diagonal of ``down`` (in and
+    undirected modes) or ``up`` (out mode) is not 1 either.
+    """
+    undirected = mode == "undirected"
+    g = S.random_graph(rng, max_nodes=14, undirected=undirected)
+    pairs = S.random_cluster_pairs(rng, g, undirected=undirected)
+    kind = "undirected" if undirected else "directed"
+    inside = build_cluster_set(g, pairs, kind).cluster_nodes
+    nodes = [(v, g.mass(v) if v in inside else 49.0) for v in g.nodes]
+    graph = build_graph(nodes, list(g.edges()))
+    return graph, build_cluster_set(graph, pairs, kind)
+
+
+@pytest.mark.parametrize("blocks_from", [0, None], ids=["blocks", "default"])
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_block_coarsening_equals_the_whole_matrix_products(mode, blocks_from, monkeypatch):
+    if blocks_from is not None:
+        kernels = importlib.import_module("lapcoarse.kernels")
+        monkeypatch.setattr(kernels, "_BLOCKS_FROM", blocks_from)
+    assert (1.0 / 49.0) * 49.0 != 1.0
+    rng = np.random.default_rng(97)
+    off_unit = 0
+    for _ in range(12):
+        g, cs = off_unit_mass_case(rng, mode)
+        result = coarsen(g, cs, mode)
+        down, up, aggregate = S.oracle_coarsening(result)
+        np.fill_diagonal(aggregate, 0.0)
+        scale = max(1.0, float(np.abs(aggregate).max()))
+        # formed entrywise, so equal to the last bit
+        assert np.array_equal(result.down, down) and np.array_equal(result.up, up)
+        assert np.abs(result.reduced.weights - aggregate).max() <= S.TOL_BLOCKS * scale
+        split = result.split
+        off_unit += int(np.sum(split.diagonal(result.down.T) * split.diagonal(result.up) != 1.0))
+    assert off_unit > 0
+
+
 # -- probability transport -------------------------------------------------------
 
 

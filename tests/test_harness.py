@@ -24,7 +24,6 @@ from lapcoarse.harness import (
     gap_bound_check,
     heat_diff,
     resolvent_diff,
-    scaled_graph,
     sweep,
 )
 from lapcoarse.numerics import spectral_gap, weighted_opnorm
@@ -49,7 +48,7 @@ def edge_pair_graph():
 def test_scaled_graph_touches_only_cluster_edges():
     g = S.hub_pair()
     cs = S.hub_pair_cluster(g)
-    scaled = scaled_graph(g, cs, 10.0)
+    scaled = scale_edges(g, cs.total_edges, 10.0)
     assert scaled.weight("2", "3") == 10.0 * S.RHO
     assert scaled.weight("3", "2") == 10.0 * S.ETA
     assert scaled.weight("1", "2") == 1.0
@@ -61,7 +60,15 @@ def test_scaling_factor_must_be_positive_and_finite():
     cs = S.triangle_cluster(g)
     for bad in (0.0, -2.0, float("inf"), float("nan")):
         with pytest.raises(NonPositiveWeight):
-            scaled_graph(g, cs, bad)
+            scale_edges(g, cs.total_edges, bad)
+        for call in (
+            lambda: resolvent_diff(g, cs, "undirected", bad),
+            lambda: heat_diff(g, cs, "undirected", bad, 1.0),
+            lambda: gap_bound_check(g, cs, "undirected", bad),
+            lambda: sweep(g, cs, "undirected", LADDER, cluster_scale=lambda b: bad),
+        ):
+            with pytest.raises(NonPositiveWeight):
+                call()
 
 
 # -- resolvent differences ------------------------------------------------------------
@@ -149,6 +156,29 @@ def test_sweep_at_negative_z_runs_no_eigensolve(mode, monkeypatch):
     report = sweep(g, cs, mode, [1e3, 1e4, 1e5, 1e6])
     assert calls == []
     assert report.fitted_slope is not None
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_sweep_guards_z_with_the_whole_matrix_gershgorin_bound(mode, monkeypatch):
+    harness = importlib.import_module("lapcoarse.harness")
+    seen = []
+    original = harness._guard_z
+    monkeypatch.setattr(
+        harness, "_guard_z", lambda z, bound, matrix: seen.append((bound, matrix())) or
+        original(z, bound, matrix)
+    )
+    for label, g, pairs, z, _ in elimination_cases(mode):
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        seen.clear()
+        sweep(g, cs, mode, LADDER, z=z)
+        result = coarsen(g, cs, mode)
+        order = np.concatenate([result.split.inside, result.split.outside])
+        per_beta = seen[1:]
+        assert len(per_beta) == len(LADDER), label
+        for bound, matrix in per_beta:
+            want = _gershgorin_clearance(matrix, g.masses[order], complex(z))
+            # both sum the same radii in another order
+            assert abs(bound - want) <= 1e-12 * max(1.0, np.abs(matrix).max()), label
 
 
 # -- heat differences -------------------------------------------------------------
@@ -458,3 +488,95 @@ def test_sweep_uses_a_given_coarsening(mode, monkeypatch):
     assert calls == []
     assert sweep(g, cs, mode, LADDER) == given
     assert len(calls) == 1
+
+
+# -- the whole-matrix oracle ------------------------------------------------------
+
+
+def assert_matches_oracle(got, want, beta, floor=0.0, where=None):
+    tol = S.TOL_ORACLE if beta <= 1e4 else S.TOL_ORACLE_STIFF
+    assert abs(got - want) <= tol * want + floor, (where, beta, got, want)
+
+
+@pytest.fixture
+def blocks_always(monkeypatch):
+    """Take every product on the cluster blocks, however small the arrays."""
+    monkeypatch.setattr(importlib.import_module("lapcoarse.kernels"), "_BLOCKS_FROM", 0)
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_sweep_and_resolvent_diff_match_the_whole_matrix_oracle(mode, blocks_always):
+    ladder = [1e1, 1e2, 1e3, 1e4, 1e6]
+    for label, g, pairs, z, _ in elimination_cases(mode):
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        result = coarsen(g, cs, mode)
+        for point in (z, complex(z) + 0.25j):
+            report = sweep(g, cs, mode, ladder, z=point, result=result)
+            for beta, diff in zip(report.betas, report.diffs):
+                want, floor = S.oracle_resolvent_diff(g, cs, result, beta, point)
+                assert_matches_oracle(diff, want, beta, floor, (label, point))
+                one = resolvent_diff(g, cs, mode, beta, point, result=result)
+                assert_matches_oracle(one, want, beta, floor, (label, point))
+
+
+def gap_cases(mode: str):
+    """(label, graph, symmetric cluster pairs, z) for the gap bound check."""
+    rng = np.random.default_rng(89)
+    cases = []
+    for k in range(4):
+        g = S.random_graph(rng, undirected=True)
+        cases.append((f"random{k}", g, S.random_cluster_pairs(rng, g, undirected=True), -1.0))
+    g, pairs = chain_with_cluster_head(130, 50)
+    cases.append(("n=130", g, pairs, -2.0))
+    g, pairs, z = singular_outside_block(mode)
+    cases.append(("singular-outside", g, pairs, z))
+    cases.append(("no-clusters", S.triangle(), [], -1.0))
+    return cases
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_gap_bound_check_matches_the_whole_matrix_oracle(mode, blocks_always):
+    for label, g, pairs, z in gap_cases(mode):
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        result = coarsen(g, cs, mode)
+        for point in (z, complex(z) + 0.5j):
+            for beta in (1e2, 1e4, 1e6):
+                report = gap_bound_check(g, cs, mode, beta, z=point)
+                distance, gap, full, floor = S.oracle_gap_check(g, cs, result, beta, point)
+                where = (label, point)
+                assert_matches_oracle(report.distance, distance, beta, where=where)
+                assert_matches_oracle(report.gap, gap, beta, where=where)
+                assert_matches_oracle(report.full_diff, full, beta, floor, where)
+
+
+def test_complex_sweep_diffs_equal_the_general_product_gram_values():
+    # Recorded with the Gram matrix formed as a general product of a
+    # conjugated copy, before the Hermitian rank-k update replaced it.
+    want = {
+        "undirected": (0.863358662221979, 0.6966345746121677, 0.23006096176091595,
+                       0.029377683404546304),
+        "in": (0.863358662221979, 0.6966345746121675, 0.230060961760916,
+               0.029377683404546304),
+        "out": (0.8633586622219789, 0.6966345746121675, 0.23006096176091595,
+                0.029377683404546304),
+    }
+    g, pairs = chain_with_cluster_head(130, 50)
+    for mode, diffs in want.items():
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        report = sweep(g, cs, mode, LADDER, z=-1.0 + 0.5j)
+        for got, value in zip(report.diffs, diffs):
+            assert abs(got - value) <= S.TOL_ORACLE * value, mode
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_resolvent_diff_and_gap_check_invert_no_whole_matrix(mode, monkeypatch):
+    harness = importlib.import_module("lapcoarse.harness")
+    sizes = []
+    original = harness.inverse
+    monkeypatch.setattr(harness, "inverse", lambda a: sizes.append(len(a)) or original(a))
+    g, pairs = chain_with_cluster_head(130, 50)
+    cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+    assert 0 < len(cs.cluster_nodes) < g.n
+    resolvent_diff(g, cs, mode, 1e3, -1.0 + 0.5j)
+    gap_bound_check(g, cs, mode, 1e3)
+    assert sizes and max(sizes) < g.n

@@ -184,6 +184,32 @@ def test_an_uncertified_lanczos_estimate_falls_back_to_the_eigensolve(monkeypatc
     assert abs(eig_value - want) <= TOL_OPNORM * want
 
 
+def test_an_uncertified_complex_estimate_falls_back_to_the_eigensolve(monkeypatch):
+    n = 200
+    rng = np.random.default_rng(n + 3)
+    a = decaying_matrix(rng, n, True)
+    m = rng.uniform(0.5, 2.0, size=n)
+    sym = mass_symmetrize(a, m)
+    want = np.linalg.svd(sym, compute_uv=False)[0]
+    original = numerics._lanczos_top
+    monkeypatch.setattr(numerics, "_lanczos_top", lambda g: (1.0 - 1e-11) * original(g))
+    outcomes = spy_certificates(monkeypatch)
+    got = weighted_opnorm(a, m)
+    assert outcomes == [False]
+    assert abs(got - want) <= TOL_OPNORM * want
+
+
+def test_the_complex_gram_is_read_from_its_lower_triangle():
+    rng = np.random.default_rng(7)
+    sym = rng.normal(size=(120, 120)) + 1j * rng.normal(size=(120, 120))
+    gram = numerics._gram(sym)
+    full = sym.conj().T @ sym
+    lower = np.tril(gram)
+    hermitian = lower + np.tril(lower, -1).conj().T
+    # the transpose of sym^H sym: the same Hermitian matrix up to conjugation
+    assert np.abs(hermitian - full.T).max() <= 1e-12 * np.abs(full).max()
+
+
 def test_projector_opnorm_is_at_least_one():
     p = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 1.0, 0]])
     assert weighted_opnorm(p, np.ones(3)) >= 1.0
