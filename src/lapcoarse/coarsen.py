@@ -19,10 +19,10 @@ conserved, and the reduced-graph Laplacian equals the compression
 down @ L_background @ up exactly (self-loops created by contraction are
 dropped; they never enter a Laplacian).  The compression identity is
 recomputed on every call and cross-checked against the Laplacian assembled
-from the reduced graph itself.  Every product with down and up is taken on
-the two blocks of the basis' :class:`ClusterSplit`: the cluster nodes
-against the reaches on them, and an elementwise outside diagonal, read
-from the arrays rather than assumed to be 1.
+from the reduced graph itself.  From 10^4 entries on, every product with
+down and up is taken on the two blocks of the basis' :class:`ClusterSplit`:
+the cluster nodes against the reaches on them, and an elementwise outside
+diagonal, read from the arrays rather than assumed to be 1.
 """
 
 from __future__ import annotations
@@ -99,12 +99,12 @@ def _cross_check(
     reduced: Graph,
     compressed: np.ndarray,
     kind,
-    split: ClusterSplit | None = None,
+    split: ClusterSplit,
 ) -> LaplacianMatrix:
     """The reduced-graph Laplacian, once it matches the compression.
 
-    Also checks ``down @ up = I``, on the blocks of ``split`` when given,
-    and that the total mass is kept.
+    Also checks ``down @ up = I`` on the blocks of ``split``, and that the
+    total mass is kept.
     """
     lap = laplacian(reduced, kind)
     scale = max(1.0, float(np.abs(lap.matrix).max()))
@@ -114,8 +114,6 @@ def _cross_check(
             f"{mode} compression disagrees with the reduced-graph Laplacian "
             f"by {lap_resid:.3e}"
         )
-    if split is None:
-        split = ClusterSplit.whole(*up.shape)
     identity_resid = split.pairing_residual(down.T, up)
     if not identity_resid <= TOL_REDUCED_LAPLACIAN:
         raise ReductionMismatch(

@@ -11,12 +11,12 @@ The scaled Laplacian is L + (beta - 1) A, A the Laplacian of the cluster
 edges.  A is zero off the p cluster nodes, where up, down and the kernel
 projector are diagonal: every other node is its own reduced node, the
 nearly decomposable structure of Courtois (1977).  One cluster-block
-engine, built once per call, holds L with the cluster nodes first, the
-p x p block of A, the Gershgorin disks of the other rows and columns and
-the elimination of the outside block of L - z; per beta it forms only
-L_cc + (beta - 1) A_cc, the cluster rows of the z-guard and the Schur
-complement.  ``sweep`` and ``resolvent_diff`` run on it, and each
-difference is still the dense norm of the whole resolvent difference.
+engine, built once per call, holds the p x p blocks L_cc and A_cc, the
+Gershgorin disks of the other rows and columns and the elimination of
+the outside block of L - z; per beta it forms only L_cc + (beta - 1) A_cc,
+the cluster rows of the z-guard and the Schur complement.  ``sweep`` and
+``resolvent_diff`` run on it; each difference is still the dense norm of
+the whole resolvent difference.
 
 The gap bound check measures the distance between the resolvent of the
 scaled cluster subgraph and the rank-preserving part of its kernel
@@ -78,10 +78,10 @@ def _disks(matrix: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Gershgorin disks of a real ``matrix``: centres, row radii, radii of the
     columns of ``M matrix M^-1``, and the diagonal."""
     mags, disks = np.abs(matrix), np.empty((4, len(matrix)))
-    disks[0] = np.diagonal(mags)
-    disks[1] = mags.sum(axis=1) - disks[0]
-    disks[2] = (masses @ mags) / masses - disks[0]
-    disks[3] = np.diagonal(matrix)
+    disks[0] = mags.diagonal()
+    np.subtract(np.add.reduce(mags, axis=1), disks[0], out=disks[1])
+    np.subtract((masses @ mags) / masses, disks[0], out=disks[2])
+    disks[3] = matrix.diagonal()
     return disks
 
 
@@ -93,10 +93,9 @@ def _clearance(disks: np.ndarray, z: complex) -> float:
     The disks of an in-Laplacian (rows) and of an out-Laplacian (columns)
     lie in Re >= 0, so for Re z < 0 the bound is |Re z| less the slack.
     """
-    centre, rows, cols = disks[:3].max(axis=1, initial=0.0)
-    bound = (np.abs(disks[3] - z) - disks[1:3]).min(axis=1, initial=np.inf).max()
-    slack = 2 * disks.shape[1] * EPS * (centre + max(rows, cols) + abs(z))
-    return float(bound - slack)
+    centre, rows, cols = disks[:3].max(axis=1, initial=0.0).tolist()
+    bound = float((np.abs(disks[3] - z) - disks[1:3]).min(axis=1, initial=np.inf).max())
+    return bound - 2 * disks.shape[1] * EPS * (centre + max(rows, cols) + abs(z))
 
 
 def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) -> float:
@@ -144,14 +143,14 @@ def _eliminate_outside(
     """
     n = matrix.shape[0]
     d_inv = inverse(matrix[p:, p:] - z * np.eye(n - p))
-    c = matrix[p:, :p]
+    c = matrix[p:, :p].copy()  # a copy, so that ``matrix`` can be freed
     lower = -(d_inv @ c)
     right = -(matrix[:p, p:] @ d_inv)
     schur_shift = right @ c
-    shift = z * np.eye(p)
 
     def resolve(block: np.ndarray) -> np.ndarray:
-        schur = block - shift
+        schur = block.astype(np.result_type(block, z))
+        schur.flat[:: p + 1] -= z
         schur += schur_shift
         s_inv = inverse(schur)
         out = np.empty((n, n), dtype=np.result_type(s_inv, d_inv))
@@ -172,41 +171,44 @@ def _resolvent_diffs(
 
     In ``order``, the p cluster nodes first, A vanishes off the leading
     p x p block, so the other rows and columns and their Gershgorin disks
-    are those of L for every m.  When the outside block fails the pivot
-    gate (only possible for Re z >= 0) whole matrices are inverted.
+    are those of L for every m.  Only L's p x p block is kept; L is built
+    again if the disks do not clear z, or for every m if the outside block
+    fails the pivot gate (only possible for Re z >= 0).
     """
     split, p = result.split, len(result.split.inside)
     order = np.concatenate([split.inside, split.outside])
     masses = graph.masses[order]
-    lap = laplacian(graph, result.basis.kind).matrix[order[:, None], order]
+
+    def whole(block: np.ndarray | None = None) -> np.ndarray:
+        out = laplacian(graph, result.basis.kind).matrix[order[:, None], order]
+        if block is not None:
+            out[:p, :p] = block
+        return out
+
+    lap = whole()
     red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
     lifted = split.lift(result.up, red, result.down.T)
     disks = _disks(lap, masses)
     # the outside columns' part of the cluster row radii, and conversely
-    rest_rows = np.abs(lap[:p, p:]).sum(axis=1)
-    rest_cols = (masses[p:] @ np.abs(lap[p:, :p])) / masses[:p]
-
-    def whole(block: np.ndarray) -> np.ndarray:
-        out = lap.copy()
-        out[:p, :p] = block
-        return out
-
+    rest = [np.abs(lap[:p, p:]).sum(axis=1), (masses[p:] @ np.abs(lap[p:, :p])) / masses[:p]]
+    top = lap[:p, :p].copy()
     try:
         resolve = _eliminate_outside(lap, p, z)
     except SingularMatrix:
 
         def resolve(block: np.ndarray) -> np.ndarray:
-            return inverse(whole(block) - z * np.eye(len(lap)))
+            return inverse(whole(block) - z * np.eye(len(masses)))
 
+    del lap
     diffs = []
     for m in multipliers:
-        block = lap[:p, :p] + (m - 1.0) * result.basis.cluster_block
+        block = top + (m - 1.0) * result.basis.cluster_block
         disks[:, :p] = _disks(block, masses[:p])
-        disks[1, :p] += rest_rows
-        disks[2, :p] += rest_cols
+        disks[1:3, :p] += rest
         _guard_z(z, _clearance(disks, complex(z)), lambda: whole(block))
-        # each n x n temporary is dropped once used
+        # each n x n and p x p temporary is dropped once used
         full = resolve(block)
+        del block
         full -= lifted
         diffs.append(weighted_opnorm(full, masses))
         del full
@@ -238,11 +240,11 @@ def heat_diff(
     if not (t > 0) or not np.isfinite(t):
         raise NonPositiveTime(f"time must be positive, got {t!r}")
     beta = _multiplier(beta)
-    if result is None:
-        result = coarsen(graph, cluster_set, mode)
-    kind = result.basis.kind
-    cluster = laplacian(cluster_set.subgraph(), kind).matrix
-    full = matrix_exp(laplacian(graph, kind).matrix + (beta - 1.0) * cluster, -t)
+    result = result or coarsen(graph, cluster_set, mode)
+    inside = result.split.inside
+    lap = laplacian(graph, result.basis.kind).matrix.copy()
+    lap[inside[:, None], inside] += (beta - 1.0) * result.basis.cluster_block
+    full = matrix_exp(lap, -t)
     full -= result.up @ matrix_exp(result.reduced_laplacian.matrix, -t) @ result.down
     return weighted_opnorm(full, graph.masses)
 
@@ -295,22 +297,21 @@ def gap_bound_check(
     mass-symmetrizable cluster subgraph it equals 1/(gap - z) exactly.
     L_cluster is zero and P diagonal off the p cluster nodes, so the
     inverse, z-guard and gap are those of the p x p block (the zero block
-    adds the eigenvalue 0, which the axis check keeps z clear of), and the
-    norm is the larger of the block's and the outside diagonal's.  The
-    full-graph difference at the same scaling comes alongside, for the
-    constant of the 1/gap bound.  Raises NotSymmetrizable when the gap is
-    not defined by a real spectrum.
+    adds the eigenvalue 0, which the axis check keeps z clear of; the gap
+    still cuts zero at ``n eps lambda_max``), and the norm is the larger of
+    the block's and the outside diagonal's.  The full-graph difference at
+    the same scaling comes alongside, for the constant of the 1/gap bound.
+    Raises NotSymmetrizable when the gap is not defined by a real spectrum.
     """
     beta = _multiplier(beta)
     result = coarsen(graph, cluster_set, mode)
     projector, outside = projector_blocks(result.basis)
     masses = graph.masses[result.basis.split.inside]
     lap = beta * result.basis.cluster_block
-    res = _resolvent(lap, masses, z)
-    res -= projector / (-z)
+    res = _resolvent(lap, masses, z) + projector / z
     off = np.abs(1.0 / (-z) - outside / (-z)).max(initial=0.0)
     distance = float(np.maximum(weighted_opnorm(res, masses), off))
-    gap = spectral_gap(lap, masses)
+    gap = spectral_gap(lap, masses, graph.n)
     full = resolvent_diff(graph, cluster_set, mode, beta, z, result=result)
     return GapBoundReport(beta, z, distance, gap, full)
 
@@ -379,12 +380,11 @@ def sweep(
     if cluster_scale is not None:
         notes.append("custom cluster scaling in effect: no rate guarantee")
     multipliers = [_multiplier(cluster_scale(b) if cluster_scale else b) for b in ladder]
-    if result is None:
-        result = coarsen(graph, cluster_set, mode)
+    result = result or coarsen(graph, cluster_set, mode)
     try:
         # the cluster subgraph's Laplacian scales exactly with the multiplier
         cluster = result.basis.cluster_block
-        gap: float | None = spectral_gap(cluster, graph.masses[result.split.inside])
+        gap: float | None = spectral_gap(cluster, graph.masses[result.split.inside], graph.n)
     except NotSymmetrizable:
         gap = None
         notes.append("cluster subgraph is not mass-symmetrizable; gaps omitted")

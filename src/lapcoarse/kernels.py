@@ -24,11 +24,12 @@ Every reach with more than one node lies on the cluster nodes (those that
 touch a cluster edge), and every other node is a one-node reach of its
 own.  So a basis is zero off two blocks, recorded in a
 :class:`ClusterSplit`: the cluster nodes against the reaches on them, and
-the diagonal of the outside nodes against their own reaches.  The gates
-and the products built on a basis work on those blocks, so the k reaches
-on the cluster nodes cost O(n^2 k) and the outside diagonal is
-elementwise, where whole arrays cost O(n^2 K) for all K reduced nodes.
-This is the nearly decomposable structure of Courtois (1977).
+the diagonal of the outside nodes against their own reaches.  From 10^4
+entries on, the gates and the products built on a basis work on those
+blocks, so the k reaches on the cluster nodes cost O(n^2 k) and the
+outside diagonal is elementwise, where whole arrays cost O(n^2 K) for all
+K reduced nodes.  This is the nearly decomposable structure of Courtois
+(1977).
 
 The weight vector of a reach is supported on its cabal.  By the Markov
 chain tree theorem it spans the left null space of the cabal's restricted
@@ -172,6 +173,7 @@ _BLOCKS_FROM = 10_000
 class ClusterSplit:
     """The two blocks off which a kernel basis, and all built from it, is zero.
 
+    Built from the row ``nodes`` and the node set of each column's reach.
     Rows: ``inside`` lists the nodes that touch a cluster edge, ``outside``
     the others, both ascending.  Columns: ``reaches`` lists the reaches
     with more than one node, which lie inside, and ``singles[i]`` is the
@@ -179,18 +181,33 @@ class ClusterSplit:
     operator is zero off its ``core`` (inside x reaches) and its
     ``diagonal`` (outside x singles); the cluster Laplacian and the Riesz
     projector are zero off the inside x inside block and the outside
-    diagonal.  Products of small arrays are taken whole.
+    diagonal.  Products of small arrays are taken whole, and the index
+    arrays are only built on first use.
     """
 
-    inside: np.ndarray
-    outside: np.ndarray
-    reaches: np.ndarray
-    singles: np.ndarray
+    nodes: tuple[str, ...]
+    parts: tuple[frozenset[str], ...]
 
-    @classmethod
-    def whole(cls, n: int, k: int) -> ClusterSplit:
-        """One block of every row and column: the whole-array computation."""
-        return cls(np.arange(n), np.arange(0), np.arange(k), np.arange(0))
+    @cached_property
+    def _single(self) -> dict[str, int]:
+        """The column of each one-node reach, by its node."""
+        return {v: col for col, part in enumerate(self.parts) if len(part) == 1 for v in part}
+
+    @cached_property
+    def inside(self) -> np.ndarray:
+        return np.array([i for i, v in enumerate(self.nodes) if v not in self._single], dtype=int)
+
+    @cached_property
+    def outside(self) -> np.ndarray:
+        return np.array([i for i, v in enumerate(self.nodes) if v in self._single], dtype=int)
+
+    @cached_property
+    def reaches(self) -> np.ndarray:
+        return np.array([col for col, part in enumerate(self.parts) if len(part) > 1], dtype=int)
+
+    @cached_property
+    def singles(self) -> np.ndarray:
+        return np.array([self._single[v] for v in self.nodes if v in self._single], dtype=int)
 
     def core(self, vectors: np.ndarray) -> np.ndarray:
         return vectors.take(self.reaches, axis=1).take(self.inside, axis=0)
@@ -238,31 +255,28 @@ class ClusterSplit:
         return out
 
     def pairing_residual(self, x: np.ndarray, y: np.ndarray) -> float:
-        """Largest entry of ``|x.T @ y - I|`` for n x K arrays split this way."""
+        """Largest entry of ``|x.T @ y - I|`` for n x K arrays split this way.
+
+        On the blocks, each nonzero (or NaN) entry of ``x`` or ``y`` off
+        them adds 1, so that no array the whole product would reject passes.
+        """
         if x.size < _BLOCKS_FROM:
             return float(np.abs(x.T @ y - np.eye(x.shape[1])).max(initial=0.0))
-        core = self.core(x).T @ self.core(y)
+        (x_core, x_diag, x_off), (y_core, y_diag, y_off) = self.blocks(x), self.blocks(y)
+        core = x_core.T @ y_core
         core.flat[:: len(core) + 1] -= 1.0
-        diagonal = self.diagonal(x) * self.diagonal(y) - 1.0
-        return float(np.maximum(np.abs(core).max(initial=0.0), np.abs(diagonal).max(initial=0.0)))
+        diagonal = x_diag * y_diag - 1.0
+        resid = np.maximum(np.abs(core).max(initial=0.0), np.abs(diagonal).max(initial=0.0))
+        return float(resid) + x_off + y_off
 
     def permuted(self, perm: list[int]) -> ClusterSplit:
         """The split of the same arrays with column j moved from ``perm[j]``."""
-        where = np.argsort(perm)
-        return ClusterSplit(self.inside, self.outside, where[self.reaches], where[self.singles])
+        return ClusterSplit(self.nodes, tuple(self.parts[j] for j in perm))
 
 
 def _split(graph: Graph, dec: ReachDecomposition) -> ClusterSplit:
     """The split of a basis over ``dec``: the one-node reaches are the outside nodes."""
-    single = {
-        v: col for col, reach in enumerate(dec) if len(reach.nodes) == 1 for v in reach.nodes
-    }
-    return ClusterSplit(
-        np.array([i for i, v in enumerate(graph.nodes) if v not in single], dtype=int),
-        np.array([i for i, v in enumerate(graph.nodes) if v in single], dtype=int),
-        np.array([col for col, reach in enumerate(dec) if len(reach.nodes) > 1], dtype=int),
-        np.array([single[v] for v in graph.nodes if v in single], dtype=int),
-    )
+    return ClusterSplit(tuple(graph.nodes), tuple(reach.nodes for reach in dec))
 
 
 @dataclass(frozen=True)
@@ -391,33 +405,34 @@ def _check_basis(
     right: np.ndarray,
     left: np.ndarray,
     unity: np.ndarray,
-    split: ClusterSplit | None = None,
+    split: ClusterSplit,
 ) -> None:
     """Raise KernelDefect unless ``right`` and ``left`` pair into a kernel basis of ``lap``.
 
-    With a ``split`` the residuals are taken on its blocks, which is exact
-    because ``lap`` vanishes off the inside nodes and no entry of either
-    family may lie off the blocks; without one, on the whole arrays.
+    Small arrays are checked whole.  Larger ones are checked on the blocks
+    of ``split``, which is exact because ``lap`` vanishes off the inside
+    nodes and the pairing residual counts every entry off the blocks.
     """
-    if split is None:
-        split = ClusterSplit.whole(*right.shape)
-    weighted = left * masses[:, None]
-    stray = split.blocks(right)[2] + split.blocks(weighted)[2]
-    # the reach columns vanish off the inside rows; lap annihilates the others
     scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
-    right_resid = float(np.abs(lap @ right[:, split.reaches]).max(initial=0.0))
-    left_resid = float(np.abs(weighted[:, split.reaches].T @ lap).max(initial=0.0))
-    sums = np.concatenate([split.core(unity).sum(axis=1), split.diagonal(unity)])
+    weighted = left * masses[:, None]
+    if right.size < _BLOCKS_FROM:
+        cols, sums = slice(None), unity.sum(axis=1)
+    else:
+        # the reach columns vanish off the inside rows; lap annihilates the others
+        cols = split.reaches
+        sums = np.concatenate([split.core(unity).sum(axis=1), split.diagonal(unity)])
+    right_resid = float(np.abs(lap @ right[:, cols]).max(initial=0.0))
+    left_resid = float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0))
     unity_resid = float(np.abs(sums - 1.0).max(initial=0.0))
     pair_resid = split.pairing_residual(weighted, right)
     worst = float(
-        np.array([right_resid / scale, left_resid / scale, unity_resid, pair_resid, stray]).max()
+        np.array([right_resid / scale, left_resid / scale, unity_resid, pair_resid]).max()
     )
     if not worst <= TOL_DEFECT:
         raise KernelDefect(
             "kernel basis residual {:.3e} exceeds {:.1e} (right {:.3e}, "
-            "left {:.3e}, unity {:.3e}, pairing {:.3e}, off-block entries {})".format(
-                worst, TOL_DEFECT, right_resid, left_resid, unity_resid, pair_resid, stray
+            "left {:.3e}, unity {:.3e}, pairing and off-block entries {:.3e})".format(
+                worst, TOL_DEFECT, right_resid, left_resid, unity_resid, pair_resid
             )
         )
 

@@ -245,11 +245,14 @@ def mass_symmetrize(a, masses) -> np.ndarray:
     return sym
 
 
-def spectral_gap(laplacian, masses) -> float:
+def spectral_gap(laplacian, masses, dim: int | None = None) -> float:
     """Smallest nonzero eigenvalue of a mass-symmetrizable PSD operator.
 
-    Eigenvalues at or below ``n * eps * lambda_max`` count as zero.  Returns
-    0.0 when no eigenvalue clears the threshold (the zero operator).
+    Eigenvalues at or below ``dim * eps * lambda_max`` count as zero, where
+    ``dim`` defaults to the order of ``laplacian``.  For the nonzero block
+    of a larger operator that is zero elsewhere, pass the larger order to
+    cut where the whole operator would.  Returns 0.0 when no eigenvalue
+    clears the threshold (the zero operator).
     """
     sym = mass_symmetrize(laplacian, masses)
     asym = np.max(np.abs(sym - sym.T)) if sym.size else 0.0
@@ -260,7 +263,7 @@ def spectral_gap(laplacian, masses) -> float:
         )
     eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
     lam_max = float(eigs[-1]) if eigs.size else 0.0
-    threshold = len(eigs) * EPS * max(lam_max, 0.0)
+    threshold = (len(eigs) if dim is None else dim) * EPS * max(lam_max, 0.0)
     nonzero = eigs[eigs > threshold]
     return float(nonzero[0]) if nonzero.size else 0.0
 

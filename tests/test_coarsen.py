@@ -161,7 +161,7 @@ def test_structural_invariants_on_random_undirected_fixtures():
         basis = result.basis
         assert basis.kind == "in"
         _check_basis(laplacian(cs.subgraph(), "in").matrix, g.masses,
-                     basis.right, basis.left, basis.right)
+                     basis.right, basis.left, basis.right, basis.split)
         directed = kernels_in(g, build_cluster_set(g, pairs, "directed"))
         assert sorted(directed.labels) == sorted(basis.labels)
         for label in basis.labels:
@@ -300,7 +300,7 @@ def _basis_gate(field):
         right = _nan_at(right, (1, 1))
     else:
         left = _nan_at(left, (2, 1))
-    _check_basis(lap, g.masses, right, left, right)
+    _check_basis(lap, g.masses, right, left, right, basis.split)
 
 
 def _projector_gate():
@@ -320,7 +320,7 @@ def _cross_check_gate(field):
         down = _nan_at(down, (1, 2))
     else:
         graph = types.SimpleNamespace(masses=_nan_at(g.masses, 0))
-    _cross_check("undirected", graph, down, r.up, r.reduced, compressed, "in")
+    _cross_check("undirected", graph, down, r.up, r.reduced, compressed, "in", r.split)
 
 
 @pytest.mark.parametrize(
@@ -353,17 +353,54 @@ def test_invariant_gates_fail_on_nan(gate, error):
         gate()
 
 
-def test_basis_and_projector_gates_reject_entries_off_the_blocks():
+@pytest.mark.parametrize(
+    "gate, error",
+    [
+        (lambda: _basis_gate("right"), KernelDefect),
+        (lambda: _basis_gate("left"), KernelDefect),
+        (_projector_gate, ProjectorDefect),
+        (lambda: _cross_check_gate("identity"), ReductionMismatch),
+    ],
+    ids=["basis-right", "basis-left", "projector", "cross-check-identity"],
+)
+def test_block_gates_fail_on_nan(gate, error, monkeypatch):
+    monkeypatch.setattr(importlib.import_module("lapcoarse.kernels"), "_BLOCKS_FROM", 0)
+    with pytest.raises(error):
+        gate()
+
+
+@pytest.mark.parametrize("blocks_from", [0, None], ids=["blocks", "default"])
+def test_basis_and_projector_gates_reject_entries_off_the_blocks(blocks_from, monkeypatch):
+    if blocks_from is not None:
+        kernels = importlib.import_module("lapcoarse.kernels")
+        monkeypatch.setattr(kernels, "_BLOCKS_FROM", blocks_from)
     g = S.hub_pair()
     basis = kernels_in(g, S.hub_pair_cluster(g))
     outside, reach = g.index("1"), basis.labels.index("2+3")
     stray = np.array(basis.right)
     stray[outside, reach] = 1e-3
-    with pytest.raises(KernelDefect, match="off-block entries 1"):
+    # on the blocks only the count of entries off them sees this one
+    count = r"pairing and off-block entries 1\.0" if blocks_from == 0 else None
+    with pytest.raises(KernelDefect, match=count):
         lap = laplacian(basis.cluster_set.subgraph(), "in").matrix
         _check_basis(lap, g.masses, stray, basis.left, stray, basis.split)
     with pytest.raises(ProjectorDefect, match="off-block entries 1"):
         riesz_from_kernels(dataclasses.replace(basis, right=stray))
+
+
+@pytest.mark.parametrize("blocks_from", [0, None], ids=["blocks", "default"])
+def test_identity_gate_rejects_entries_off_the_blocks(blocks_from, monkeypatch):
+    if blocks_from is not None:
+        kernels = importlib.import_module("lapcoarse.kernels")
+        monkeypatch.setattr(kernels, "_BLOCKS_FROM", blocks_from)
+    g = S.triangle()
+    r = coarsen(g, S.triangle_cluster(g), "undirected")
+    stray = np.array(r.down)
+    stray[r.reduced.index("b+c"), g.index("a")] = 1e-3
+    with pytest.raises(ReductionMismatch, match="down @ up"):
+        _cross_check(
+            "undirected", g, stray, r.up, r.reduced, r.reduced_laplacian.matrix, "in", r.split
+        )
 
 
 def off_unit_mass_case(rng, mode: str):
@@ -403,6 +440,21 @@ def test_block_coarsening_equals_the_whole_matrix_products(mode, blocks_from, mo
         split = result.split
         off_unit += int(np.sum(split.diagonal(result.down.T) * split.diagonal(result.up) != 1.0))
     assert off_unit > 0
+
+
+def test_result_split_follows_the_reduced_node_order():
+    # overlapping in-mode reaches whose labels sort out of decomposition order
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        g = S.random_graph(rng)
+        r = coarsen(g, build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed"), "in")
+        if list(r.basis.labels) != list(r.reduced.nodes):
+            break
+    else:
+        pytest.fail("no fixture reorders the reduced nodes")
+    assert r.split.parts == tuple(frozenset(r.node_map[label]) for label in r.reduced.nodes)
+    for vectors in (r.up, r.down.T):
+        assert r.split.blocks(vectors)[2] == 0
 
 
 # -- probability transport -------------------------------------------------------

@@ -549,6 +549,33 @@ def test_gap_bound_check_matches_the_whole_matrix_oracle(mode, blocks_always):
                 assert_matches_oracle(report.full_diff, full, beta, floor, where)
 
 
+def weak_link_cluster(weight: float = 3.3e-15):
+    """Cluster path a - b - c with b - c of ``weight``, and 47 background nodes hung from c.
+
+    The middle eigenvalue of the 3 x 3 cluster block, about 1.5 ``weight``,
+    lies between 3 eps lambda_max and 50 eps lambda_max: the whole 50 x 50
+    cluster Laplacian counts it as zero, its nonzero block would not.
+    """
+    outside = [f"o{k:02d}" for k in range(47)]
+    edges = S.sym("a", "b") + S.sym("b", "c", weight) + S.sym("c", outside[0])
+    for u, v in zip(outside, outside[1:]):
+        edges += S.sym(u, v)
+    g = build_graph([(v, 1.0) for v in ["a", "b", "c"] + outside], edges)
+    pairs = S.sym_pairs("a", "b") + S.sym_pairs("b", "c")
+    return g, build_cluster_set(g, pairs, "undirected")
+
+
+def test_gaps_count_zero_as_on_the_whole_cluster_laplacian():
+    g, cs = weak_link_cluster()
+    result = coarsen(g, cs, "undirected")
+    assert spectral_gap(result.basis.cluster_block, np.ones(3)) < 1e-14
+    _, want, _, _ = S.oracle_gap_check(g, cs, result, 1.0, -1.0)
+    assert want > 1.0
+    assert abs(gap_bound_check(g, cs, "undirected", 1.0).gap - want) <= S.TOL_ORACLE * want
+    report = sweep(g, cs, "undirected", [1.0, 10.0, 100.0], result=result)
+    assert abs(report.gap_values[0] - want) <= S.TOL_ORACLE * want
+
+
 def test_complex_sweep_diffs_equal_the_general_product_gram_values():
     # Recorded with the Gram matrix formed as a general product of a
     # conjugated copy, before the Hermitian rank-k update replaced it.
