@@ -19,9 +19,7 @@ from .connectivity import (
     ReachDecomposition,
     build_cluster_set,
     connected_components,
-    reachable_set,
     reaches,
-    transpose_cluster_set,
 )
 from .errors import (
     InvariantViolation,
@@ -33,13 +31,10 @@ from .graph import (
     LaplacianMatrix,
     build_graph,
     degrees,
-    dirichlet_form,
     drop_edges,
-    from_weight_matrix,
     is_undirected,
     laplacian,
     restrict_edges,
-    scale_edges,
     transpose,
     validate_boundedness,
 )
@@ -60,16 +55,8 @@ from .io import (
     serialize_sweep,
     sweep_csv,
 )
-from .kernels import (
-    KernelBasis,
-    kernels_in,
-    kernels_out,
-    left_kernel_in,
-    right_kernel_in,
-    weight_vector_bruteforce,
-    weight_vector_matrix,
-)
-from .riesz import riesz_contour_oracle, riesz_from_kernels, riesz_projector
+from .kernels import KernelBasis, kernels_in, kernels_out
+from .riesz import riesz_from_kernels
 
 __version__ = "0.1.0"
 
@@ -92,37 +79,26 @@ __all__ = [
     "coarsen",
     "connected_components",
     "degrees",
-    "dirichlet_form",
     "drop_edges",
     "export_dot",
-    "from_weight_matrix",
     "gap_bound_check",
     "heat_diff",
     "is_undirected",
     "kernels_in",
     "kernels_out",
     "laplacian",
-    "left_kernel_in",
     "parse_cluster_edges",
     "parse_graph",
     "probability_transport_check",
-    "reachable_set",
     "reaches",
     "resolvent_diff",
     "restrict_edges",
-    "riesz_contour_oracle",
     "riesz_from_kernels",
-    "riesz_projector",
-    "right_kernel_in",
-    "scale_edges",
     "serialize_coarsening",
     "serialize_graph",
     "serialize_sweep",
     "sweep",
     "sweep_csv",
     "transpose",
-    "transpose_cluster_set",
     "validate_boundedness",
-    "weight_vector_bruteforce",
-    "weight_vector_matrix",
 ]

@@ -4,11 +4,13 @@ A reach is a maximal reachable set, where "reachable from i" follows drawn
 arrows outward from i.  Every reach is generated by exactly one source
 component of the condensation (its cabal); nodes belonging to a single
 reach form its exclusive part, nodes shared between reaches its common
-part.  For undirected graphs reaches coincide with connected components.
+part.  On a symmetric edge set every node reaches exactly its connected
+component, so the reaches are the components, each its own cabal and
+exclusive part.
 
 Cluster sets package a subset of edges (the connectivity that will be sent
-to infinity) together with its decomposition: connected components in
-undirected mode, reaches of the cluster subgraph in directed mode.
+to infinity) together with the reach decomposition of the cluster subgraph,
+in both modes; undirected mode only adds that the subset be symmetric.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     UnknownEdge,
     UnknownNode,
 )
-from .graph import Graph, restrict_edges, transpose
+from .graph import Graph, drop_edges, restrict_edges
 
 ClusterMode = Literal["undirected", "directed"]
 
@@ -41,21 +43,6 @@ def _drawn_successors(graph: Graph) -> list[list[int]]:
         if i != j:
             adj[j].append(i)
     return adj
-
-
-def reachable_set(graph: Graph, node: str) -> frozenset[str]:
-    """All nodes reachable from ``node`` along drawn arrows, itself included."""
-    adj = _drawn_successors(graph)
-    start = graph.index(node)
-    seen = {start}
-    stack = [start]
-    while stack:
-        x = stack.pop()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return frozenset(graph.nodes[k] for k in seen)
 
 
 def _tarjan_sccs(adj: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -189,7 +176,7 @@ def reaches(graph: Graph) -> ReachDecomposition:
     return ReachDecomposition(tuple(built))
 
 
-def _symmetric_pairs(graph: Graph, pairs: Iterable[EdgePair]) -> frozenset[EdgePair]:
+def _symmetric_pairs(pairs: Iterable[EdgePair]) -> frozenset[EdgePair]:
     pair_set = frozenset(pairs)
     missing = [(s, d) for s, d in pair_set if (d, s) not in pair_set]
     if missing:
@@ -205,31 +192,15 @@ def connected_components(
     """Partition of the node set by a symmetric edge subset.
 
     With ``pairs`` None the whole edge set is used (it must be symmetric).
+    The components are the reaches of the graph restricted to ``pairs``.
     Singleton components are included.  Components are sorted by smallest
     member.
     """
     if pairs is None:
         pairs = graph.edge_pairs()
-    pair_set = _symmetric_pairs(graph, pairs)
+    pair_set = _symmetric_pairs(pairs)
     _check_edges_exist(graph, pair_set)
-    parent = list(range(graph.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for src, dst in pair_set:
-        a, b = find(graph.index(src)), find(graph.index(dst))
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, set[str]] = {}
-    for k, v in enumerate(graph.nodes):
-        groups.setdefault(find(k), set()).add(v)
-    return tuple(
-        sorted((frozenset(g) for g in groups.values()), key=min)
-    )
+    return tuple(reach.nodes for reach in reaches(restrict_edges(graph, pair_set)))
 
 
 def _check_edges_exist(graph: Graph, pairs: Iterable[EdgePair]) -> None:
@@ -243,13 +214,14 @@ class ClusterSet:
     """A validated collection of cluster edge sets over a parent graph.
 
     ``clusters[k]`` is the drawn-edge set of the k-th cluster and
-    ``node_sets[k]`` its incident nodes.  In directed mode the clusters
-    mirror the reaches of the cluster subgraph ``(V, total_edges)``; since
-    reaches may overlap on common nodes, an edge lying in an overlap is
-    listed in every reach containing both endpoints (the union of the
-    clusters is always exactly ``total_edges``).  ``decomposition`` is that
-    reach decomposition (undirected mode: components as trivial reaches),
-    including edgeless singleton reaches, so its node sets cover V.
+    ``node_sets[k]`` its incident nodes.  The clusters mirror the reaches
+    of the cluster subgraph ``(V, total_edges)``; since directed reaches
+    may overlap on common nodes, an edge lying in an overlap is listed in
+    every reach containing both endpoints (the union of the clusters is
+    always exactly ``total_edges``).  ``decomposition`` is that reach
+    decomposition (undirected mode: the components, as reaches with no
+    common part), including edgeless singleton reaches, so its node sets
+    cover V.
     """
 
     mode: ClusterMode
@@ -277,8 +249,6 @@ class ClusterSet:
 
     def background(self) -> Graph:
         """Parent graph with the cluster edges removed."""
-        from .graph import drop_edges
-
         return drop_edges(self.graph, self.total_edges)
 
 
@@ -308,99 +278,45 @@ def build_cluster_set(
 ) -> ClusterSet:
     """Validate and decompose a cluster edge subset.
 
-    ``edges`` may be a flat iterable of drawn pairs ``(src, dst)`` (split
-    automatically into components or reaches) or a pre-grouped iterable of
-    such iterables (validated for node-disjointness and connectedness in
-    undirected mode, and against the derived decomposition in directed
-    mode).  A flat empty list is a valid degenerate input: no clusters,
-    every node its own component, and coarsening against it is the
-    identity.  Pre-grouped input with an empty group is rejected.
+    ``edges`` may be a flat iterable of drawn pairs ``(src, dst)`` or a
+    pre-grouped iterable of such iterables.  Either way the clusters are
+    the edge sets of the reaches of the cluster subgraph; pre-grouped
+    input must equal them.  Undirected mode also requires the subset to be
+    symmetric and the groups to share no node.  A flat empty list is a
+    valid degenerate input: no clusters, every node its own reach, and
+    coarsening against it is the identity.  Pre-grouped input with an
+    empty group is rejected.
     """
     flat, groups = _flatten(edges)
     _check_edges_exist(graph, flat)
-    total = frozenset(flat)
-
-    if mode == "undirected":
-        total = _symmetric_pairs(graph, total)
-        if groups is not None:
-            _validate_undirected_groups(graph, groups)
-        components = connected_components(graph, total)
-        incident = {v for pair in total for v in pair}
-        cluster_nodes = [c for c in components if c & incident]
-        clusters = tuple(
-            frozenset(p for p in total if p[0] in c) for c in cluster_nodes
-        )
-        decomposition = ReachDecomposition(
-            tuple(
-                Reach(c, c, c, frozenset())
-                for c in components
-            )
-        )
-        return ClusterSet(
-            mode, graph, clusters, tuple(cluster_nodes), total, decomposition
-        )
-
-    if mode == "directed":
-        if groups is not None and any(not grp for grp in groups):
-            raise EmptyClusterSet("a pre-grouped cluster has no edges")
-        sub = restrict_edges(graph, total)
-        decomposition = reaches(sub)
-        clusters = []
-        node_sets = []
-        for reach in decomposition:
-            edge_set = frozenset(
-                (s, d) for s, d in total if s in reach.nodes and d in reach.nodes
-            )
-            if edge_set:
-                clusters.append(edge_set)
-                node_sets.append(frozenset({v for p in edge_set for v in p}))
-        if groups is not None:
-            want = {frozenset(c) for c in clusters}
-            got = {frozenset(g) for g in groups}
-            if want != got:
-                raise ClusterViolation(
-                    "pre-grouped directed clusters do not match the reach "
-                    "decomposition of their total edge set"
-                )
-        return ClusterSet(
-            mode, graph, tuple(clusters), tuple(node_sets), total, decomposition
-        )
-
-    raise ValueError(f"mode must be 'undirected' or 'directed', got {mode!r}")
-
-
-def _validate_undirected_groups(
-    graph: Graph, groups: list[list[EdgePair]]
-) -> None:
-    node_groups: list[set[str]] = []
-    for grp in groups:
+    if mode not in ("undirected", "directed"):
+        raise ValueError(f"mode must be 'undirected' or 'directed', got {mode!r}")
+    total = _symmetric_pairs(flat) if mode == "undirected" else frozenset(flat)
+    seen: set[str] = set()
+    for grp in groups or ():
         if not grp:
             raise EmptyClusterSet("a pre-grouped cluster has no edges")
         nodes = {v for pair in grp for v in pair}
-        for other in node_groups:
-            shared = nodes & other
-            if shared:
-                raise ClustersShareNodes(
-                    f"clusters share nodes {sorted(shared)}"
-                )
-        node_groups.append(nodes)
-    for grp in groups:
-        sym = _symmetric_pairs(graph, grp)
-        comps = [
-            c
-            for c in connected_components(graph, sym)
-            if c & {v for pair in grp for v in pair}
-        ]
-        if len(comps) != 1:
-            raise ClusterViolation(
-                "a pre-grouped undirected cluster must induce a single "
-                f"connected component, found {len(comps)}"
-            )
+        if mode == "undirected" and nodes & seen:
+            raise ClustersShareNodes(f"clusters share nodes {sorted(nodes & seen)}")
+        seen |= nodes
+    decomposition = reaches(restrict_edges(graph, total))
+    member: dict[str, list[int]] = {}
+    for k, reach in enumerate(decomposition):
+        for v in reach.nodes:
+            member.setdefault(v, []).append(k)
+    # a reach holds everything reachable from its nodes, so every reach
+    # containing an edge's tail contains the edge
+    grouped: list[set[EdgePair]] = [set() for _ in decomposition]
+    for src, dst in total:
+        for k in member[src]:
+            grouped[k].add((src, dst))
+    clusters = tuple(frozenset(edge_set) for edge_set in grouped if edge_set)
+    if groups is not None and {frozenset(grp) for grp in groups} != set(clusters):
+        raise ClusterViolation(
+            "pre-grouped clusters do not match the reach decomposition of "
+            "their total edge set"
+        )
+    node_sets = tuple(frozenset(v for pair in c for v in pair) for c in clusters)
+    return ClusterSet(mode, graph, clusters, node_sets, total, decomposition)
 
-
-def transpose_cluster_set(cluster_set: ClusterSet) -> ClusterSet:
-    """Cluster set of the transposed graph with every edge reversed."""
-    reversed_edges = [(d, s) for s, d in cluster_set.total_edges]
-    return build_cluster_set(
-        transpose(cluster_set.graph), reversed_edges, cluster_set.mode
-    )

@@ -67,7 +67,8 @@ class ClustersShareNodes(ValidationError):
 
 
 class ClusterViolation(ValidationError):
-    """A pre-grouped cluster is not a single connected component."""
+    """Pre-grouped clusters differ from the reaches of their edges, or a
+    cluster set has the wrong mode for its use."""
 
 
 class EmptyClusterSet(ValidationError):
@@ -76,10 +77,6 @@ class EmptyClusterSet(ValidationError):
 
 class UnknownEdge(ValidationError):
     """A cluster edge does not reference an existing graph edge."""
-
-
-class ReachTooLargeForEnumeration(ValidationError):
-    pass
 
 
 # -- numerics ----------------------------------------------------------------
@@ -98,10 +95,6 @@ class SingularMatrix(InvariantViolation):
 
 class NotSymmetrizable(ValidationError):
     """Mass symmetrization did not produce a symmetric matrix."""
-
-
-class SpectralGapCollapse(InvariantViolation):
-    """No usable isolated eigenvalue at 0 (min nonzero |lambda| ~ 0)."""
 
 
 # -- kernels / riesz / coarsen -----------------------------------------------

@@ -23,7 +23,6 @@ from .errors import (
     DuplicateNode,
     NonPositiveMass,
     NonPositiveWeight,
-    NotUndirected,
     UnknownEndpoint,
     UnknownNode,
 )
@@ -144,27 +143,14 @@ def build_graph(
     return Graph(tuple(order), masses, weights)
 
 
-def from_weight_matrix(nodes: tuple[str, ...], masses, weights) -> Graph:
-    """Build a Graph from an already-indexed weight matrix (internal use)."""
-    w = np.array(weights, dtype=float)
-    m = np.array(masses, dtype=float)
-    if np.any(m <= 0):
-        raise NonPositiveMass("all node masses must be strictly positive")
-    if np.any(w < 0):
-        raise NonPositiveWeight("weight matrix has negative entries")
-    return Graph(tuple(nodes), m, w)
-
-
 def transpose(graph: Graph) -> Graph:
     """Reverse every edge, keep weights and masses."""
     return Graph(graph.nodes, graph.masses.copy(), graph.weights.T.copy())
 
 
-def is_undirected(graph: Graph, tol: float = 0.0) -> bool:
-    """True when the graph equals its transpose (weights symmetric)."""
-    if tol == 0.0:
-        return bool(np.array_equal(graph.weights, graph.weights.T))
-    return bool(np.max(np.abs(graph.weights - graph.weights.T), initial=0.0) <= tol)
+def is_undirected(graph: Graph) -> bool:
+    """True when the graph equals its transpose (weights exactly symmetric)."""
+    return bool(np.array_equal(graph.weights, graph.weights.T))
 
 
 @dataclass(frozen=True)
@@ -207,7 +193,10 @@ def laplacian(graph: Graph, kind: Kind = IN) -> LaplacianMatrix:
     kind ``"out"``.
     """
     deg = degrees(graph, kind)
-    mat = (np.diag(deg) - graph.weights) / graph.masses[:, np.newaxis]
+    # 0 - W keeps absent entries +0, where negating would make them -0
+    mat = np.subtract(0.0, graph.weights)
+    mat /= graph.masses[:, np.newaxis]
+    np.fill_diagonal(mat, (deg - np.diagonal(graph.weights)) / graph.masses)
     return LaplacianMatrix(kind, mat, graph.masses.copy())
 
 
@@ -230,19 +219,6 @@ def drop_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
     return Graph(graph.nodes, graph.masses.copy(), np.where(drop, 0.0, graph.weights))
 
 
-def scale_edges(graph: Graph, pairs: Iterable[tuple[str, str]], factor: float) -> Graph:
-    """Multiply the weights of the given drawn edges by ``factor``."""
-    if not (factor > 0) or not np.isfinite(factor):
-        raise NonPositiveWeight(f"scale factor must be positive, got {factor!r}")
-    weights = graph.weights.copy()
-    for src, dst in pairs:
-        i, j = graph.index(dst), graph.index(src)
-        if weights[i, j] <= 0.0:
-            raise UnknownEndpoint(f"({src!r}, {dst!r}) is not an edge of the graph")
-        weights[i, j] *= factor
-    return Graph(graph.nodes, graph.masses.copy(), weights)
-
-
 def validate_boundedness(graph: Graph) -> float:
     """Degree-to-mass bound C; both Laplacian norms are at most 2C."""
     if graph.n == 0:
@@ -251,16 +227,3 @@ def validate_boundedness(graph: Graph) -> float:
     ratios_out = degrees(graph, OUT) / graph.masses
     return float(max(ratios_in.max(initial=0.0), ratios_out.max(initial=0.0)))
 
-
-def dirichlet_form(graph: Graph, f) -> float:
-    """Energy ``1/2 sum_(i,j) a(i,j) |f(i) - f(j)|^2`` of an undirected graph.
-
-    Because undirected graphs store each edge in both orientations, the
-    half factor makes the value coincide exactly with ``<f, L f>`` in the
-    mass-weighted inner product.
-    """
-    if not is_undirected(graph):
-        raise NotUndirected("Dirichlet form requires an undirected graph")
-    vec = np.asarray(f)
-    diff = vec[:, np.newaxis] - vec[np.newaxis, :]
-    return float(0.5 * np.sum(graph.weights * np.abs(diff) ** 2))

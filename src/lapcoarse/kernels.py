@@ -36,9 +36,9 @@ chain tree theorem it spans the left null space of the cabal's restricted
 matrix diag(in-weights) - W, and the directed builders compute it as that
 null vector by GTH elimination (Grassmann, Taksar and Heyman 1985): O(k^3)
 operations on k cabal nodes, free of subtraction and so componentwise
-accurate at any weight scale.  Two slower routes are kept as oracles:
-explicit enumeration of spanning out-trees (exponential, guarded) and
-diagonal cofactors of the reach-restricted matrix (matrix-tree route).
+accurate at any weight scale.  The tests check it against two slower
+routes kept in ``tests/oracles.py``: explicit enumeration of spanning
+out-trees and diagonal cofactors of the reach-restricted matrix.
 """
 
 from __future__ import annotations
@@ -50,24 +50,11 @@ from typing import Iterable
 import numpy as np
 
 from .connectivity import ClusterSet, ReachDecomposition, reaches
-from .errors import (
-    KernelDefect,
-    ReachTooLargeForEnumeration,
-    SingularCommonBlock,
-    SingularMatrix,
-)
+from .errors import KernelDefect, SingularCommonBlock, SingularMatrix
 from .graph import Graph, Kind, laplacian, transpose
-from .numerics import ENUMERATION_LIMIT, TOL_DEFECT, solve
+from .numerics import TOL_DEFECT, solve
 
-__all__ = [
-    "KernelBasis",
-    "kernels_in",
-    "kernels_out",
-    "left_kernel_in",
-    "right_kernel_in",
-    "weight_vector_bruteforce",
-    "weight_vector_matrix",
-]
+__all__ = ["KernelBasis", "kernels_in", "kernels_out"]
 
 
 def _restricted_weights(graph: Graph, nodes: Iterable[str]):
@@ -78,89 +65,6 @@ def _restricted_weights(graph: Graph, nodes: Iterable[str]):
     sub = graph.weights[np.ix_(idx, idx)].copy()
     np.fill_diagonal(sub, 0.0)
     return order, sub
-
-
-def weight_vector_bruteforce(graph: Graph, nodes: Iterable[str]) -> dict[str, float]:
-    """Spanning-out-tree weights by explicit enumeration.
-
-    For each node r of the subset, sums the products of edge weights over
-    all spanning trees of the induced subgraph whose edges are all drawn
-    away from r.  Exact integer-combinatorial semantics: a node with no
-    spanning out-tree gets exactly 0.0.  Guarded by the enumeration size
-    limit; intended for cross-checking the matrix route on small reaches.
-    """
-    order, W = _restricted_weights(graph, nodes)
-    k = len(order)
-    if k > ENUMERATION_LIMIT:
-        raise ReachTooLargeForEnumeration(
-            f"{k} nodes exceed the enumeration limit of {ENUMERATION_LIMIT}"
-        )
-    return {order[r]: float(_tree_sum(W, r)) for r in range(k)}
-
-
-def _tree_sum(W: np.ndarray, root: int) -> float:
-    """Total weight of spanning out-trees rooted at ``root``.
-
-    Every non-root node picks one incoming drawn edge; a choice is a tree
-    iff it is acyclic.  Nodes are processed fewest-candidates-first and a
-    partial choice is abandoned as soon as it closes a cycle, which keeps
-    the search tractable on the sparse reaches this is meant for.
-    """
-    k = W.shape[0]
-    cands: list[tuple[int, list[tuple[int, float]]]] = []
-    for v in range(k):
-        if v == root:
-            continue
-        row = [(u, W[v, u]) for u in range(k) if u != v and W[v, u] > 0.0]
-        if not row:
-            return 0.0
-        cands.append((v, row))
-    cands.sort(key=lambda item: len(item[1]))
-    parent: dict[int, int | None] = {root: None}
-    total = 0.0
-
-    def assign(pos: int, prod: float) -> None:
-        nonlocal total
-        if pos == len(cands):
-            total += prod
-            return
-        v, row = cands[pos]
-        for u, w in row:
-            x: int | None = u
-            closes_cycle = False
-            while x is not None:
-                if x == v:
-                    closes_cycle = True
-                    break
-                x = parent.get(x)
-            if closes_cycle:
-                continue
-            parent[v] = u
-            assign(pos + 1, prod * w)
-            del parent[v]
-
-    assign(0, 1.0)
-    return total
-
-
-def weight_vector_matrix(graph: Graph, nodes: Iterable[str]) -> dict[str, float]:
-    """Spanning-out-tree weights as diagonal cofactors.
-
-    Builds the matrix diag(internal in-weights) minus internal weights on
-    the induced subgraph and returns, per node, the determinant of the
-    matrix with that node's row and column deleted.  O(k^4), and the
-    determinants overflow on large heavy reaches; an oracle for the GTH
-    route of the kernel bases.
-    """
-    order, W = _restricted_weights(graph, nodes)
-    B = np.diag(W.sum(axis=1)) - W
-    k = len(order)
-    out: dict[str, float] = {}
-    for r in range(k):
-        keep = [i for i in range(k) if i != r]
-        minor = B[np.ix_(keep, keep)]
-        out[order[r]] = float(np.linalg.det(minor)) if keep else 1.0
-    return out
 
 
 # Below this many entries in an n x K array, whole-array products cost less
@@ -486,14 +390,3 @@ def kernels_undirected(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     left = right / (right.T @ graph.masses)
     return KernelBasis("in", graph, cluster_set, dec, right, left, _split(graph, dec))
 
-
-def right_kernel_in(graph: Graph, cluster_set: ClusterSet) -> tuple[np.ndarray, ...]:
-    """Right kernel vectors of the in-degree cluster Laplacian, one per reach."""
-    basis = kernels_in(graph, cluster_set)
-    return tuple(basis.right[:, k] for k in range(basis.size))
-
-
-def left_kernel_in(graph: Graph, cluster_set: ClusterSet) -> tuple[np.ndarray, ...]:
-    """Left kernel vectors (mass pairing), one per reach, cabal-supported."""
-    basis = kernels_in(graph, cluster_set)
-    return tuple(basis.left[:, k] for k in range(basis.size))

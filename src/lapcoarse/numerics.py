@@ -3,9 +3,9 @@
 Thin, contract-enforcing wrappers over numpy/scipy: LU solves and
 inverses behind one pivot gate, mass-weighted operator norms, spectral
 gaps of symmetrizable operators, matrix exponentials (scaling and
-squaring, Pade 13 inside scipy), QR eigenvalues and an SVD null-space
-oracle.  Everything is dense; the guard :data:`SIZE_LIMIT` keeps callers
-honest about the desk-scale design.
+squaring, Pade 13 inside scipy) and QR eigenvalues.  Everything is
+dense; the guard :data:`SIZE_LIMIT` keeps callers honest about the
+desk-scale design.
 
 The operator norm is the top singular value, taken from the Gram matrix,
 which a symmetric or Hermitian rank-k update forms in one triangle; every
@@ -44,10 +44,6 @@ TOL_REDUCED_LAPLACIAN = 1e-10  # J-down L J-up vs reduced-graph Laplacian
 TOL_MASS_CONSERVATION = 1e-12
 TOL_DISTRIBUTION = 1e-9      # gate: sign and unit total of a transported distribution
 TOL_LEMMA_EQUALITY = 1e-9    # projection-lemma equality for cluster resolvents
-TOL_IMAG_RESIDUE = 1e-9      # allowed imaginary part when realifying a contour integral
-SPECTRAL_COLLAPSE = 1e-12    # below this, "0 is isolated" is numerically meaningless
-CONTOUR_POINTS = 256
-ENUMERATION_LIMIT = 12       # max reach size for brute-force tree enumeration
 
 # Certified top eigenvalue in weighted_opnorm.  Below _LANCZOS_MIN_N rows a
 # full eigensolve is cheaper than the Python-level Lanczos loop (one BLAS
@@ -281,40 +277,3 @@ def eigvals(a) -> np.ndarray:
     a = _as_matrix(a)
     return np.linalg.eigvals(a)
 
-
-def spectrum_in_right_half_plane(a, tol: float = 1e-10) -> bool:
-    """True when every eigenvalue satisfies ``Re(lambda) >= -tol``."""
-    return bool(np.all(eigvals(a).real >= -tol))
-
-
-def svd_nullspace(a, rtol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (columns) of the right null space of ``a``.
-
-    Singular values at or below ``n * eps * sigma_max`` (or ``rtol * sigma_max``)
-    count as zero.  Test oracle for the closed-form kernel bases.
-    """
-    a = _as_matrix(a)
-    if a.size == 0:
-        return np.eye(a.shape[1])
-    _, sigma, vh = np.linalg.svd(a)
-    sigma_max = sigma[0] if sigma.size else 0.0
-    cut = (rtol if rtol is not None else max(a.shape) * EPS) * sigma_max
-    rank = int(np.sum(sigma > cut))
-    return vh[rank:].conj().T
-
-
-def principal_angle_gap(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
-    """Largest principal-angle sine between two subspaces given by bases.
-
-    Computed as the largest singular value of the component of one
-    orthonormalized basis outside the span of the other, which stays
-    accurate for tiny angles (the arccos-of-inner-products route loses
-    half the digits there).
-    """
-    qa, _ = np.linalg.qr(basis_a)
-    qb, _ = np.linalg.qr(basis_b)
-    if qa.shape[1] != qb.shape[1]:
-        return 1.0
-    resid = qb - qa @ (qa.conj().T @ qb)
-    sines = np.linalg.svd(resid, compute_uv=False)
-    return float(min(1.0, sines[0])) if sines.size else 0.0

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from lapcoarse import build_cluster_set, build_graph, laplacian, scale_edges
+from lapcoarse import build_cluster_set, build_graph, laplacian
+from oracles import scale_edges
 
 ALPHA, GAMMA, DELTA, RHO, ETA = 2.0, 3.0, 5.0, 7.0, 11.0
 

@@ -11,16 +11,17 @@ import support as S
 from support import TOL_KERNEL, TOL_PROJECTOR, TOL_RIESZ_CROSS, TOL_TRANSPORT
 from lapcoarse.coarsen import coarsen, probability_transport_check
 from lapcoarse.connectivity import build_cluster_set, reaches
-from lapcoarse.graph import build_graph, laplacian, scale_edges, transpose
+from lapcoarse.graph import build_graph, laplacian, transpose
 from lapcoarse.harness import gap_bound_check, heat_diff, resolvent_diff, sweep
-from lapcoarse.kernels import (
-    kernels_in,
-    kernels_out,
+from lapcoarse.kernels import kernels_in, kernels_out
+from lapcoarse.numerics import matrix_exp, spectral_gap
+from oracles import (
+    riesz_contour_oracle,
+    riesz_projector,
+    scale_edges,
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import matrix_exp, spectral_gap
-from lapcoarse.riesz import riesz_contour_oracle, riesz_projector
 
 
 def test_criterion_01_triangle_reduction():

@@ -5,11 +5,10 @@ import pytest
 
 import support as S
 from lapcoarse.connectivity import (
+    Reach,
     build_cluster_set,
     connected_components,
-    reachable_set,
     reaches,
-    transpose_cluster_set,
 )
 from lapcoarse.errors import (
     ClustersShareNodes,
@@ -20,6 +19,7 @@ from lapcoarse.errors import (
     UnknownNode,
 )
 from lapcoarse.graph import build_graph, transpose
+from oracles import components_by_union_find, reachable_set, transpose_cluster_set
 
 
 # -- reachability ----------------------------------------------------------------
@@ -69,8 +69,9 @@ def test_undirected_reaches_equal_connected_components():
     rng = np.random.default_rng(17)
     for _ in range(25):
         g = S.random_graph(rng, undirected=True)
-        reach_sets = {r.nodes for r in reaches(g)}
-        assert reach_sets == set(connected_components(g))
+        oracle = components_by_union_find(g)
+        assert tuple(r.nodes for r in reaches(g)) == oracle
+        assert connected_components(g) == oracle
 
 
 def test_reach_partition_invariants_on_random_digraphs():
@@ -173,6 +174,36 @@ def test_pre_grouped_undirected_cluster_must_be_connected():
     groups = [S.sym_pairs("a", "b") + S.sym_pairs("c", "d")]
     with pytest.raises(ClusterViolation):
         build_cluster_set(g, groups, "undirected")
+
+
+def test_undirected_cluster_sets_are_the_union_find_components():
+    """Trivial reaches and per-component clusters; merged or split groupings fail."""
+    rng = np.random.default_rng(29)
+    merged = split = 0
+    for _ in range(60):
+        g = S.random_graph(rng, undirected=True)
+        pairs = S.random_cluster_pairs(rng, g, undirected=True)
+        cs = build_cluster_set(g, pairs, "undirected")
+        comps = components_by_union_find(g, pairs)
+        assert cs.decomposition.reaches == tuple(Reach(c, c, c, frozenset()) for c in comps)
+        edge_sets = [frozenset(p for p in pairs if p[0] in c) for c in comps]
+        clusters = tuple(e for e in edge_sets if e)
+        assert cs.clusters == clusters
+        assert cs.node_sets == tuple(c for c, e in zip(comps, edge_sets) if e)
+        groups = [sorted(c) for c in clusters]
+        assert build_cluster_set(g, groups, "undirected").clusters == clusters
+        if len(groups) >= 2:
+            merged += 1
+            with pytest.raises(ClusterViolation):
+                build_cluster_set(g, [groups[0] + groups[1]] + groups[2:], "undirected")
+        for k, grp in enumerate(groups):
+            if len(grp) >= 4:
+                split += 1
+                first = [p for p in grp if set(p) == set(grp[0])]
+                rest = [p for p in grp if set(p) != set(grp[0])]
+                with pytest.raises(ClustersShareNodes):
+                    build_cluster_set(g, groups[:k] + [first, rest] + groups[k + 1:], "undirected")
+    assert merged and split
 
 
 def test_cluster_edges_must_exist():

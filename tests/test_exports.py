@@ -1,8 +1,9 @@
-"""Stale public names and dead tolerance-table entries."""
+"""Stale public names, unused exports and dead tolerance-table entries."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import lapcoarse
@@ -23,15 +24,33 @@ def test_every_exported_name_resolves():
     assert stale == []
 
 
-def test_every_tolerance_in_the_table_is_read_by_the_package():
-    """Each TOL_* entry is loaded as a name somewhere in the package's code."""
+def loaded_names(paths) -> set[str]:
+    """Every name and attribute that the code in ``paths`` reads."""
     read = set()
-    for path in Path(lapcoarse.__file__).parent.glob("*.py"):
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
+    return read
+
+
+def test_every_tolerance_in_the_table_is_read_by_the_package():
+    """Each TOL_* entry is loaded as a name somewhere in the package's code."""
+    read = loaded_names(Path(lapcoarse.__file__).parent.glob("*.py"))
     names = {name for name in vars(numerics) if name.startswith("TOL_")}
     assert names
     assert sorted(names - read) == []
+
+
+def test_every_root_export_is_used_or_documented():
+    """A root export is read by a package module, or named under "Library use"."""
+    package = Path(lapcoarse.__file__).parent
+    read = loaded_names(p for p in package.glob("*.py") if p.name != "__init__.py")
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"`([A-Za-z_]\w*)", library_use))
+    documented |= set(re.findall(r"\blc\.([A-Za-z_]\w*)", library_use))
+    unused = [name for name in lapcoarse.__all__ if name not in read | documented]
+    assert unused == []

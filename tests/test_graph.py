@@ -15,17 +15,15 @@ from lapcoarse.errors import (
 from lapcoarse.graph import (
     build_graph,
     degrees,
-    dirichlet_form,
     drop_edges,
-    from_weight_matrix,
     is_undirected,
     laplacian,
     restrict_edges,
-    scale_edges,
     transpose,
     validate_boundedness,
 )
 from lapcoarse.numerics import weighted_opnorm
+from oracles import dirichlet_form, from_weight_matrix, laplacian_three_pass, scale_edges
 
 
 def triangle_beta(beta):
@@ -125,6 +123,22 @@ def test_laplacian_sign_pattern():
             off = mat - np.diag(np.diag(mat))
             assert off.max(initial=0.0) <= 0.0
             assert np.diag(mat).min(initial=0.0) >= 0.0
+
+
+def test_laplacian_is_bit_identical_to_the_three_pass_formula():
+    """Signed zeros included, in both kinds, on graphs with and without self-loops."""
+    rng = np.random.default_rng(11)
+    graphs = [S.random_graph(rng) for _ in range(10)]
+    names = [f"n{k:02d}" for k in range(50)]
+    loops = [(v, v, float(rng.uniform(0.5, 2.0))) for v in names[::3]]
+    chain = [(u, v, float(rng.uniform(0.5, 2.0))) for u, v in zip(names, names[1:])]
+    masses = [(v, float(rng.uniform(0.5, 2.0))) for v in names]
+    graphs.append(build_graph(masses, loops + chain))
+    for g in graphs:
+        for kind in ("in", "out"):
+            got, want = laplacian(g, kind).matrix, laplacian_three_pass(g, kind)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_degrees_row_and_column_sums():

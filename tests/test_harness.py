@@ -18,7 +18,7 @@ from lapcoarse.errors import (
     SingularMatrix,
     ZOnSpectrumAxis,
 )
-from lapcoarse.graph import build_graph, laplacian, scale_edges
+from lapcoarse.graph import build_graph, laplacian
 from lapcoarse.harness import (
     _gershgorin_clearance,
     gap_bound_check,
@@ -27,6 +27,7 @@ from lapcoarse.harness import (
     sweep,
 )
 from lapcoarse.numerics import spectral_gap, weighted_opnorm
+from oracles import scale_edges
 
 LADDER = [1e1, 1e2, 1e3, 1e4]
 

@@ -6,18 +6,19 @@ import pytest
 import support as S
 from support import TOL_WEIGHT_VECTOR
 from lapcoarse.connectivity import build_cluster_set, reaches
-from lapcoarse.errors import ReachTooLargeForEnumeration
 from lapcoarse.graph import build_graph, laplacian, transpose
 from lapcoarse import kernels
-from lapcoarse.kernels import (
-    kernels_in,
-    kernels_out,
+from lapcoarse.kernels import kernels_in, kernels_out
+from lapcoarse.numerics import solve
+from oracles import (
+    ReachTooLargeForEnumeration,
     left_kernel_in,
+    principal_angle_gap,
     right_kernel_in,
+    svd_nullspace,
     weight_vector_bruteforce,
     weight_vector_matrix,
 )
-from lapcoarse.numerics import principal_angle_gap, solve, svd_nullspace
 
 
 def reach_by_root(graph, root):

@@ -12,18 +12,21 @@ from lapcoarse.errors import (
     NotSymmetrizable,
     SingularMatrix,
 )
-from lapcoarse.graph import build_graph, laplacian, scale_edges
+from lapcoarse.graph import build_graph, laplacian
 from lapcoarse.numerics import (
     eigvals,
     inverse,
     mass_symmetrize,
     matrix_exp,
-    principal_angle_gap,
     solve,
     spectral_gap,
+    weighted_opnorm,
+)
+from oracles import (
+    principal_angle_gap,
+    scale_edges,
     spectrum_in_right_half_plane,
     svd_nullspace,
-    weighted_opnorm,
 )
 
 

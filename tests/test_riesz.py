@@ -5,12 +5,17 @@ import pytest
 
 import support as S
 from support import TOL_PROJECTOR, TOL_RIESZ_CROSS
-from lapcoarse.connectivity import build_cluster_set, transpose_cluster_set
-from lapcoarse.errors import SpectralGapCollapse
+from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.graph import laplacian, transpose
 from lapcoarse.kernels import kernels_in, kernels_out
 from lapcoarse.numerics import weighted_opnorm
-from lapcoarse.riesz import riesz_contour_oracle, riesz_from_kernels, riesz_projector
+from lapcoarse.riesz import riesz_from_kernels
+from oracles import (
+    SpectralGapCollapse,
+    riesz_contour_oracle,
+    riesz_projector,
+    transpose_cluster_set,
+)
 
 
 def test_source_pair_projector_matrix():
