@@ -28,7 +28,6 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    LaplacianMatrix,
     build_graph,
     degrees,
     drop_edges,
@@ -55,8 +54,7 @@ from .io import (
     serialize_sweep,
     sweep_csv,
 )
-from .kernels import KernelBasis, kernels_in, kernels_out
-from .riesz import riesz_from_kernels
+from .kernels import KernelBasis, kernels_in, kernels_out, riesz_from_kernels
 
 __version__ = "0.1.0"
 
@@ -68,7 +66,6 @@ __all__ = [
     "InvariantViolation",
     "KernelBasis",
     "LapcoarseError",
-    "LaplacianMatrix",
     "Reach",
     "ReachDecomposition",
     "SweepReport",

@@ -35,17 +35,20 @@ import numpy as np
 from .connectivity import ClusterSet
 from .errors import (
     ClusterViolation,
+    InvalidOption,
     NegativeAggregateWeight,
     NotADistribution,
     NotUndirected,
     ReductionMismatch,
 )
-from .graph import Graph, LaplacianMatrix, build_graph, is_undirected, laplacian
+from .graph import Graph, build_graph, is_undirected, laplacian
 from .kernels import ClusterSplit, KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
+    TOL_AGGREGATE,
     TOL_DISTRIBUTION,
     TOL_MASS_CONSERVATION,
     TOL_REDUCED_LAPLACIAN,
+    require,
 )
 
 __all__ = [
@@ -77,7 +80,7 @@ class CoarseningResult:
     reduced: Graph
     down: np.ndarray
     up: np.ndarray
-    reduced_laplacian: LaplacianMatrix
+    reduced_laplacian: np.ndarray
     node_map: dict[str, tuple[str, ...]]
     basis: KernelBasis
     split: ClusterSplit
@@ -92,39 +95,23 @@ class CoarseningResult:
 
 
 def _cross_check(
-    mode: CoarsenMode,
-    graph: Graph,
-    down: np.ndarray,
-    up: np.ndarray,
-    reduced: Graph,
-    compressed: np.ndarray,
-    kind,
-    split: ClusterSplit,
-) -> LaplacianMatrix:
+    mode: CoarsenMode, graph: Graph, down: np.ndarray, up: np.ndarray, reduced: Graph,
+    compressed: np.ndarray, kind, split: ClusterSplit,
+) -> np.ndarray:
     """The reduced-graph Laplacian, once it matches the compression.
 
     Also checks ``down @ up = I`` on the blocks of ``split``, and that the
     total mass is kept.
     """
     lap = laplacian(reduced, kind)
-    scale = max(1.0, float(np.abs(lap.matrix).max()))
-    lap_resid = float(np.abs(compressed - lap.matrix).max())
-    if not lap_resid <= TOL_REDUCED_LAPLACIAN * scale:
-        raise ReductionMismatch(
-            f"{mode} compression disagrees with the reduced-graph Laplacian "
-            f"by {lap_resid:.3e}"
-        )
-    identity_resid = split.pairing_residual(down.T, up)
-    if not identity_resid <= TOL_REDUCED_LAPLACIAN:
-        raise ReductionMismatch(
-            f"down @ up deviates from the identity by {identity_resid:.3e}"
-        )
+    scale = max(1.0, float(np.abs(lap).max()))
+    lap_resid = {"reduced-graph Laplacian": float(np.abs(compressed - lap).max())}
+    require(ReductionMismatch, f"{mode} compression", TOL_REDUCED_LAPLACIAN * scale, lap_resid)
+    identity = {"identity": split.pairing_residual(down.T, up)}
+    require(ReductionMismatch, "down @ up", TOL_REDUCED_LAPLACIAN, identity)
     total = float(graph.masses.sum())
-    mass_resid = abs(float(reduced.masses.sum()) - total)
-    if not mass_resid <= TOL_MASS_CONSERVATION * max(1.0, total):
-        raise ReductionMismatch(
-            f"coarsening changed the total mass by {mass_resid:.3e}"
-        )
+    mass = {"total mass": abs(float(reduced.masses.sum()) - total)}
+    require(ReductionMismatch, "coarsening", TOL_MASS_CONSERVATION * max(1.0, total), mass)
     return lap
 
 
@@ -134,12 +121,9 @@ def _aggregate_edges(
     """Off-diagonal aggregate weights as drawn edges, tiny noise dropped."""
     if not np.all(np.isfinite(aggregate)):
         raise NegativeAggregateWeight("aggregated weights contain NaN or Inf")
-    tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
-    worst = float(aggregate.min())
-    if worst < -tol:
-        raise NegativeAggregateWeight(
-            f"aggregated weight {worst!r} is negative beyond round-off"
-        )
+    tol = TOL_AGGREGATE * max(1.0, float(np.abs(aggregate).max()))
+    negative = {"negative weight": -float(aggregate.min())}
+    require(NegativeAggregateWeight, "aggregated weights", tol, negative)
     mask = aggregate > tol
     np.fill_diagonal(mask, False)
     heads, tails = np.nonzero(mask)
@@ -149,12 +133,6 @@ def _aggregate_edges(
             heads.tolist(), tails.tolist(), aggregate[heads, tails].tolist()
         )
     ]
-
-
-def _label_permutation(labels: list[str], reduced: Graph) -> list[int]:
-    """Positions of the reduced graph's (sorted) node ids inside ``labels``."""
-    where = {label: pos for pos, label in enumerate(labels)}
-    return [where[v] for v in reduced.nodes]
 
 
 def _assemble(
@@ -189,8 +167,10 @@ def _assemble(
     reduced = build_graph(
         zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
     )
-    compressed = split.sandwich(down.T, laplacian(background, kind).matrix, up)
-    perm = _label_permutation(labels, reduced)
+    compressed = split.sandwich(down.T, laplacian(background, kind), up)
+    # the positions of the reduced graph's (sorted) node ids inside ``labels``
+    where = {label: pos for pos, label in enumerate(labels)}
+    perm = [where[v] for v in reduced.nodes]
     down, up, split = down[perm], up[:, perm], split.permuted(perm)
     compressed = compressed.take(perm, axis=0).take(perm, axis=1)
     lap = _cross_check(mode, graph, down, up, reduced, compressed, kind, split)
@@ -215,7 +195,7 @@ def coarsen(graph: Graph, cluster_set: ClusterSet, mode: CoarsenMode) -> Coarsen
             raise NotUndirected("undirected coarsening needs symmetric weights")
         basis = kernels_undirected(graph, cluster_set)
     elif mode not in ("in", "out"):
-        raise ValueError(f"mode must be 'undirected', 'in' or 'out', got {mode!r}")
+        raise InvalidOption(f"mode must be 'undirected', 'in' or 'out', got {mode!r}")
     elif cluster_set.mode != "directed":
         raise ClusterViolation(f"{mode}-degree coarsening needs a directed-mode cluster set")
     elif mode == "in":
@@ -260,7 +240,7 @@ def probability_transport_check(
     elif direction == "up":
         source, target = result.reduced.masses, result.graph.masses
     else:
-        raise ValueError(f"direction must be 'down' or 'up', got {direction!r}")
+        raise InvalidOption(f"direction must be 'down' or 'up', got {direction!r}")
     if f.shape != source.shape:
         raise NotADistribution(
             f"distribution has shape {f.shape}, expected {source.shape}"

@@ -24,6 +24,7 @@ from .errors import (
     ClustersShareNodes,
     ClusterViolation,
     EmptyClusterSet,
+    InvalidOption,
     NotSymmetricEdgeSet,
     UnknownEdge,
     UnknownNode,
@@ -290,7 +291,7 @@ def build_cluster_set(
     flat, groups = _flatten(edges)
     _check_edges_exist(graph, flat)
     if mode not in ("undirected", "directed"):
-        raise ValueError(f"mode must be 'undirected' or 'directed', got {mode!r}")
+        raise InvalidOption(f"mode must be 'undirected' or 'directed', got {mode!r}")
     total = _symmetric_pairs(flat) if mode == "undirected" else frozenset(flat)
     seen: set[str] = set()
     for grp in groups or ():

@@ -26,6 +26,10 @@ class InvariantViolation(LapcoarseError):
     """A numerical invariant guaranteed by the theory failed."""
 
 
+class InvalidOption(ValidationError, ValueError):
+    """An option (a mode, kind or direction) is none of its documented values."""
+
+
 # -- graph construction ------------------------------------------------------
 
 class NonPositiveMass(ValidationError):
@@ -97,7 +101,7 @@ class NotSymmetrizable(ValidationError):
     """Mass symmetrization did not produce a symmetric matrix."""
 
 
-# -- kernels / riesz / coarsen -----------------------------------------------
+# -- kernels / coarsen -------------------------------------------------------
 
 class SingularCommonBlock(SingularMatrix):
     """The common-part block of a cluster Laplacian was singular."""

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     DuplicateNode,
+    InvalidOption,
     NonPositiveMass,
     NonPositiveWeight,
     UnknownEndpoint,
@@ -54,7 +55,7 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return (
+        return self is other or (
             self.nodes == other.nodes
             and np.array_equal(self.masses, other.masses)
             and np.array_equal(self.weights, other.weights)
@@ -153,51 +154,30 @@ def is_undirected(graph: Graph) -> bool:
     return bool(np.array_equal(graph.weights, graph.weights.T))
 
 
-@dataclass(frozen=True)
-class LaplacianMatrix:
-    """Dense Laplacian with its kind and mass vector.
-
-    ``matrix`` acts on node-indexed functions.  For kind ``"in"`` the
-    diagonal carries in-degrees over masses and the all-ones vector is
-    annihilated; for kind ``"out"`` the column-mass-weighted sums vanish
-    instead.
-    """
-
-    kind: Kind
-    matrix: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-        self.masses.setflags(write=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-
 def degrees(graph: Graph, kind: Kind) -> np.ndarray:
     """In-degrees (row sums) or out-degrees (column sums) of the weights."""
     if kind == IN:
         return graph.weights.sum(axis=1)
     if kind == OUT:
         return graph.weights.sum(axis=0)
-    raise ValueError(f"kind must be 'in' or 'out', got {kind!r}")
+    raise InvalidOption(f"kind must be 'in' or 'out', got {kind!r}")
 
 
-def laplacian(graph: Graph, kind: Kind = IN) -> LaplacianMatrix:
-    """Assemble the in-degree or out-degree Laplacian.
+def laplacian(graph: Graph, kind: Kind = IN) -> np.ndarray:
+    """The in-degree or out-degree Laplacian, as a read-only array.
 
     ``[L f](x) = (deg(x) f(x) - sum_y W[x, y] f(y)) / m(x)`` where ``deg``
     is the row-sum degree for kind ``"in"`` and the column-sum degree for
-    kind ``"out"``.
+    kind ``"out"``.  For kind ``"in"`` it annihilates the all-ones vector;
+    for kind ``"out"`` the mass-weighted column sums vanish instead.
     """
     deg = degrees(graph, kind)
     # 0 - W keeps absent entries +0, where negating would make them -0
     mat = np.subtract(0.0, graph.weights)
     mat /= graph.masses[:, np.newaxis]
     np.fill_diagonal(mat, (deg - np.diagonal(graph.weights)) / graph.masses)
-    return LaplacianMatrix(kind, mat, graph.masses.copy())
+    mat.setflags(write=False)
+    return mat
 
 
 def restrict_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
@@ -221,8 +201,6 @@ def drop_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
 
 def validate_boundedness(graph: Graph) -> float:
     """Degree-to-mass bound C; both Laplacian norms are at most 2C."""
-    if graph.n == 0:
-        return 0.0
     ratios_in = degrees(graph, IN) / graph.masses
     ratios_out = degrees(graph, OUT) / graph.masses
     return float(max(ratios_in.max(initial=0.0), ratios_out.max(initial=0.0)))

@@ -37,6 +37,7 @@ from .coarsen import CoarsenMode, CoarseningResult, coarsen
 from .connectivity import ClusterSet
 from .errors import (
     BetaLadderTooShort,
+    ClusterViolation,
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
@@ -44,16 +45,17 @@ from .errors import (
     ZOnSpectrumAxis,
 )
 from .graph import Graph, laplacian
+from .kernels import projector_blocks
 from .numerics import (
     EPS,
     TOL_LEMMA_EQUALITY,
+    TOL_Z_CLEARANCE,
     eigvals,
     inverse,
     matrix_exp,
     spectral_gap,
     weighted_opnorm,
 )
-from .riesz import projector_blocks
 
 __all__ = [
     "GapBoundReport",
@@ -65,7 +67,6 @@ __all__ = [
 ]
 
 _UNDERFLOW = 1e-15
-_Z_CLEARANCE = 1e-12
 
 
 def _multiplier(value: float) -> float:
@@ -105,19 +106,19 @@ def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) ->
 def _guard_z(z: complex, clearance: float, matrix: Callable[[], np.ndarray]) -> None:
     """Raise ZOnSpectrumAxis when ``z`` comes within clearance of the spectrum.
 
-    ``z`` must keep ``_Z_CLEARANCE`` from the nonnegative real axis and from
+    ``z`` must keep ``TOL_Z_CLEARANCE`` from the nonnegative real axis and from
     every eigenvalue of ``matrix()``, a Laplacian.  The Gershgorin bound
     ``clearance`` settles the common case (every Re z < 0); only when it
     does not clear ``z`` is the matrix built and its eigenvalues computed.
     """
     zc = complex(z)
     axis_dist = abs(zc.imag) if zc.real >= 0 else abs(zc)
-    if axis_dist < _Z_CLEARANCE:
+    if axis_dist < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} lies on the nonnegative real axis")
-    if clearance >= _Z_CLEARANCE:
+    if clearance >= TOL_Z_CLEARANCE:
         return
     clearance = float(np.abs(eigvals(matrix()) - zc).min())
-    if clearance < _Z_CLEARANCE:
+    if clearance < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} is within {clearance:.3e} of the spectrum")
 
 
@@ -164,8 +165,19 @@ def _eliminate_outside(
     return resolve
 
 
+def _coarsening(
+    graph: Graph, cluster_set: ClusterSet, mode: CoarsenMode, result: CoarseningResult | None
+) -> CoarseningResult:
+    """``result``, once it matches ``graph``, ``cluster_set`` and ``mode``; a new one if None."""
+    if result is None:
+        return coarsen(graph, cluster_set, mode)
+    if (result.mode, result.graph, result.cluster_set) != (mode, graph, cluster_set):
+        raise ClusterViolation(f"result is not the {mode} coarsening of this cluster set")
+    return result
+
+
 def _resolvent_diffs(
-    graph: Graph, result: CoarseningResult, multipliers: list[float], z: complex
+    result: CoarseningResult, multipliers: list[float], z: complex
 ) -> list[float]:
     """The engine: norms of ``(L + (m - 1) A - z)^-1`` minus the lifted reduced resolvent.
 
@@ -175,18 +187,18 @@ def _resolvent_diffs(
     again if the disks do not clear z, or for every m if the outside block
     fails the pivot gate (only possible for Re z >= 0).
     """
-    split, p = result.split, len(result.split.inside)
+    graph, split, p = result.graph, result.split, len(result.split.inside)
     order = np.concatenate([split.inside, split.outside])
     masses = graph.masses[order]
 
     def whole(block: np.ndarray | None = None) -> np.ndarray:
-        out = laplacian(graph, result.basis.kind).matrix[order[:, None], order]
+        out = laplacian(graph, result.basis.kind)[order[:, None], order]
         if block is not None:
             out[:p, :p] = block
         return out
 
     lap = whole()
-    red = _resolvent(result.reduced_laplacian.matrix, result.reduced.masses, z)
+    red = _resolvent(result.reduced_laplacian, result.reduced.masses, z)
     lifted = split.lift(result.up, red, result.down.T)
     disks = _disks(lap, masses)
     # the outside columns' part of the cluster row radii, and conversely
@@ -225,7 +237,7 @@ def resolvent_diff(
 ) -> float:
     """Mass operator norm of resolvent(full, scaled) minus lifted resolvent(reduced)."""
     beta = _multiplier(beta)
-    return _resolvent_diffs(graph, result or coarsen(graph, cluster_set, mode), [beta], z)[0]
+    return _resolvent_diffs(_coarsening(graph, cluster_set, mode, result), [beta], z)[0]
 
 
 def heat_diff(
@@ -240,12 +252,12 @@ def heat_diff(
     if not (t > 0) or not np.isfinite(t):
         raise NonPositiveTime(f"time must be positive, got {t!r}")
     beta = _multiplier(beta)
-    result = result or coarsen(graph, cluster_set, mode)
+    result = _coarsening(graph, cluster_set, mode, result)
     inside = result.split.inside
-    lap = laplacian(graph, result.basis.kind).matrix.copy()
+    lap = laplacian(graph, result.basis.kind).copy()
     lap[inside[:, None], inside] += (beta - 1.0) * result.basis.cluster_block
     full = matrix_exp(lap, -t)
-    full -= result.up @ matrix_exp(result.reduced_laplacian.matrix, -t) @ result.down
+    full -= result.up @ matrix_exp(result.reduced_laplacian, -t) @ result.down
     return weighted_opnorm(full, graph.masses)
 
 
@@ -368,8 +380,8 @@ def sweep(
     are given, since it is the least asymptotic.  Entries whose difference
     underflows are excluded from the fit and flagged.  A custom
     ``cluster_scale`` (mapping beta to the actual multiplier) may be
-    supplied, but then no convergence rate is guaranteed.  ``result`` is a
-    coarsening of the same graph, cluster set and mode, made when omitted.
+    supplied, but then no convergence rate is guaranteed.  ``result`` must
+    coarsen the same graph and cluster set in ``mode``; made when omitted.
     """
     ladder = sorted(set(float(b) for b in betas))
     if len(ladder) < 3:
@@ -380,7 +392,7 @@ def sweep(
     if cluster_scale is not None:
         notes.append("custom cluster scaling in effect: no rate guarantee")
     multipliers = [_multiplier(cluster_scale(b) if cluster_scale else b) for b in ladder]
-    result = result or coarsen(graph, cluster_set, mode)
+    result = _coarsening(graph, cluster_set, mode, result)
     try:
         # the cluster subgraph's Laplacian scales exactly with the multiplier
         cluster = result.basis.cluster_block
@@ -388,7 +400,7 @@ def sweep(
     except NotSymmetrizable:
         gap = None
         notes.append("cluster subgraph is not mass-symmetrizable; gaps omitted")
-    diffs = _resolvent_diffs(graph, result, multipliers, z)
+    diffs = _resolvent_diffs(result, multipliers, z)
     if any(b > a for a, b in zip(diffs, diffs[1:])):
         notes.append("resolvent differences are not monotone along the ladder")
     usable = [i for i, d in enumerate(diffs) if d > _UNDERFLOW]

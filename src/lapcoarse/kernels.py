@@ -39,6 +39,12 @@ operations on k cabal nodes, free of subtraction and so componentwise
 accurate at any weight scale.  The tests check it against two slower
 routes kept in ``tests/oracles.py``: explicit enumeration of spanning
 out-trees and diagonal cofactors of the reach-restricted matrix.
+
+The Riesz projector onto the kernel multiplies out the biorthogonal pairs,
+P = sum_R (right_R)(left_R * m)^T.  It annihilates the cluster Laplacian on
+both sides and its rank is the number of reaches; a gate checks both, with
+idempotency, on the two blocks.  The tests compare it with a contour
+integral of the resolvent, kept in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -50,17 +56,17 @@ from typing import Iterable
 import numpy as np
 
 from .connectivity import ClusterSet, ReachDecomposition, reaches
-from .errors import KernelDefect, SingularCommonBlock, SingularMatrix
+from .errors import (
+    ClusterViolation, KernelDefect, ProjectorDefect, SingularCommonBlock, SingularMatrix,
+)
 from .graph import Graph, Kind, laplacian, transpose
-from .numerics import TOL_DEFECT, solve
+from .numerics import TOL_DEFECT, require, solve
 
-__all__ = ["KernelBasis", "kernels_in", "kernels_out"]
+__all__ = ["KernelBasis", "kernels_in", "kernels_out", "riesz_from_kernels"]
 
 
 def _restricted_weights(graph: Graph, nodes: Iterable[str]):
     order = sorted(nodes)
-    if not order:
-        raise ValueError("node subset is empty")
     idx = [graph.index(v) for v in order]
     sub = graph.weights[np.ix_(idx, idx)].copy()
     np.fill_diagonal(sub, 0.0)
@@ -205,7 +211,7 @@ class KernelBasis:
     def cluster_block(self) -> np.ndarray:
         """The cluster Laplacian of ``kind`` on the inside nodes, where it is nonzero."""
         inside = self.split.inside
-        return laplacian(self.cluster_set.subgraph(), self.kind).matrix[inside[:, None], inside]
+        return laplacian(self.cluster_set.subgraph(), self.kind)[inside[:, None], inside]
 
     @property
     def size(self) -> int:
@@ -304,12 +310,8 @@ def _tree_vectors(
 
 
 def _check_basis(
-    lap: np.ndarray,
-    masses: np.ndarray,
-    right: np.ndarray,
-    left: np.ndarray,
-    unity: np.ndarray,
-    split: ClusterSplit,
+    lap: np.ndarray, masses: np.ndarray, right: np.ndarray, left: np.ndarray,
+    unity: np.ndarray, split: ClusterSplit,
 ) -> None:
     """Raise KernelDefect unless ``right`` and ``left`` pair into a kernel basis of ``lap``.
 
@@ -325,28 +327,27 @@ def _check_basis(
         # the reach columns vanish off the inside rows; lap annihilates the others
         cols = split.reaches
         sums = np.concatenate([split.core(unity).sum(axis=1), split.diagonal(unity)])
-    right_resid = float(np.abs(lap @ right[:, cols]).max(initial=0.0))
-    left_resid = float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0))
-    unity_resid = float(np.abs(sums - 1.0).max(initial=0.0))
-    pair_resid = split.pairing_residual(weighted, right)
-    worst = float(
-        np.array([right_resid / scale, left_resid / scale, unity_resid, pair_resid]).max()
-    )
-    if not worst <= TOL_DEFECT:
-        raise KernelDefect(
-            "kernel basis residual {:.3e} exceeds {:.1e} (right {:.3e}, "
-            "left {:.3e}, unity {:.3e}, pairing and off-block entries {:.3e})".format(
-                worst, TOL_DEFECT, right_resid, left_resid, unity_resid, pair_resid
-            )
-        )
+    residuals = {
+        "right": float(np.abs(lap @ right[:, cols]).max(initial=0.0)) / scale,
+        "left": float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0)) / scale,
+        "unity": float(np.abs(sums - 1.0).max(initial=0.0)),
+        "pairing and off-block entries": split.pairing_residual(weighted, right),
+    }
+    require(KernelDefect, "kernel basis", TOL_DEFECT, residuals)
+
+
+def _check_graph(graph: Graph, cluster_set: ClusterSet) -> None:
+    if cluster_set.graph != graph:
+        raise ClusterViolation("the cluster set was built on another graph")
 
 
 def kernels_in(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     """Kernel basis of the in-degree Laplacian of the cluster subgraph."""
+    _check_graph(graph, cluster_set)
     sub = cluster_set.subgraph()
     dec = cluster_set.decomposition
     index = {v: k for k, v in enumerate(graph.nodes)}
-    lap = laplacian(sub, "in").matrix
+    lap = laplacian(sub, "in")
     right = _indicator_vectors(lap, dec, index)
     left = _tree_vectors(sub, dec, index)
     split = _split(graph, dec)
@@ -361,15 +362,16 @@ def kernels_out(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     vectors here and its indicator vectors are left kernel vectors, by the
     mass-adjoint duality between the two Laplacian orientations.
     """
+    _check_graph(graph, cluster_set)
     sub = cluster_set.subgraph()
     sub_t = transpose(sub)
     dec = reaches(sub_t)
     index = {v: k for k, v in enumerate(graph.nodes)}
-    lap_t = laplacian(sub_t, "in").matrix
+    lap_t = laplacian(sub_t, "in")
     right = _tree_vectors(sub_t, dec, index)
     left = _indicator_vectors(lap_t, dec, index)
     split = _split(graph, dec)
-    lap = laplacian(sub, "out").matrix
+    lap = laplacian(sub, "out")
     _check_basis(lap, graph.masses, right, left, left, split)
     return KernelBasis("out", graph, cluster_set, dec, right, left, split)
 
@@ -383,10 +385,51 @@ def kernels_undirected(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     construction, so the residual check of the directed builders is
     skipped.
     """
+    _check_graph(graph, cluster_set)
     dec = cluster_set.decomposition
     component = {v: col for col, reach in enumerate(dec) for v in reach.nodes}
     right = np.zeros((graph.n, len(dec)))
     right[np.arange(graph.n), [component[v] for v in graph.nodes]] = 1.0
     left = right / (right.T @ graph.masses)
     return KernelBasis("in", graph, cluster_set, dec, right, left, _split(graph, dec))
+
+
+def riesz_from_kernels(basis: KernelBasis) -> np.ndarray:
+    """Spectral projector assembled from a biorthogonal kernel basis."""
+    core, diagonal = projector_blocks(basis)
+    split = basis.split
+    proj = np.zeros((basis.graph.n, basis.graph.n))
+    proj[np.ix_(split.inside, split.inside)] = core
+    proj[split.outside, split.outside] = diagonal
+    return proj
+
+
+def projector_blocks(basis: KernelBasis) -> tuple[np.ndarray, np.ndarray]:
+    """The projector on the inside nodes, and its outside diagonal.
+
+    The projector is zero elsewhere, so the gate (idempotency, annihilation
+    of the cluster Laplacian on both sides, rank) is taken on the two
+    blocks, after checking that no basis entry lies off them.
+    """
+    split = basis.split
+    r_core, r_diag, r_stray = split.blocks(basis.right)
+    w_core, w_diag, w_stray = split.blocks(basis.left * basis.graph.masses[:, None])
+    core, diagonal = r_core @ w_core.T, r_diag * w_diag
+    lap = basis.cluster_block
+    scale = max(1.0, _largest(core, diagonal))
+    idem = _largest(core @ core - core, diagonal * diagonal - diagonal) / scale
+    annih = _largest(core @ lap, lap @ core) / (max(1.0, _largest(lap)) * scale)
+    rank_resid = abs(float(np.trace(core) + diagonal.sum()) - basis.size)
+    residuals = {"idempotency": idem, "annihilation": annih, "rank": rank_resid,
+                 "off-block entries": r_stray + w_stray}
+    require(ProjectorDefect, "projector", TOL_DEFECT, residuals)
+    return core, diagonal
+
+
+def _largest(*arrays: np.ndarray) -> float:
+    """Largest absolute entry over the arrays; NaN when any entry is."""
+    out = 0.0
+    for a in arrays:
+        out = np.maximum(out, np.abs(a).max(initial=0.0))
+    return float(out)
 

@@ -14,7 +14,8 @@ replaces the full eigensolve, and a Cholesky factorization proves it is
 the top eigenvalue to a stated relative bound (the floating-point
 criterion of Rump 2006); without that proof the eigensolve answers.
 
-Every tolerance the package's gates read lives in the table below; the
+Every tolerance the package's gates read lives in the table below, and
+the gates that hold residuals to one raise through :func:`require`; the
 tests keep their own thresholds beside their fixtures.
 """
 
@@ -44,6 +45,9 @@ TOL_REDUCED_LAPLACIAN = 1e-10  # J-down L J-up vs reduced-graph Laplacian
 TOL_MASS_CONSERVATION = 1e-12
 TOL_DISTRIBUTION = 1e-9      # gate: sign and unit total of a transported distribution
 TOL_LEMMA_EQUALITY = 1e-9    # projection-lemma equality for cluster resolvents
+TOL_AGGREGATE = 1e-12        # gate: negative aggregated weights; smaller ones are dropped
+TOL_SYMMETRIC = 1e-10        # gate: asymmetry left by mass symmetrization
+TOL_Z_CLEARANCE = 1e-12      # gate: distance of z from the spectrum and the real axis
 
 # Certified top eigenvalue in weighted_opnorm.  Below _LANCZOS_MIN_N rows a
 # full eigensolve is cheaper than the Python-level Lanczos loop (one BLAS
@@ -56,6 +60,18 @@ _LANCZOS_MIN_N = 100
 _LANCZOS_STEPS = 20
 _LANCZOS_SEED = 20260
 _CERTIFY_SLACK = 4
+
+
+def require(error: type[Exception], what: str, tolerance: float, residuals: dict) -> None:
+    """Raise ``error`` unless every residual is at most ``tolerance``; NaN fails.
+
+    The message names the worst residual, the tolerance and each residual.
+    """
+    if all(value <= tolerance for value in residuals.values()):
+        return
+    worst = float(np.max(list(residuals.values())))
+    parts = ", ".join(f"{name} {value:.3e}" for name, value in residuals.items())
+    raise error(f"{what} residual {worst:.3e} exceeds {tolerance:.3e} ({parts})")
 
 
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -253,10 +269,7 @@ def spectral_gap(laplacian, masses, dim: int | None = None) -> float:
     sym = mass_symmetrize(laplacian, masses)
     asym = np.max(np.abs(sym - sym.T)) if sym.size else 0.0
     scale = max(1.0, float(np.max(np.abs(sym))) if sym.size else 0.0)
-    if asym > 1e-10 * scale:
-        raise NotSymmetrizable(
-            f"mass symmetrization left asymmetry {asym:.3e} (scale {scale:.3e})"
-        )
+    require(NotSymmetrizable, "mass symmetrization", TOL_SYMMETRIC * scale, {"asymmetry": asym})
     eigs = np.linalg.eigvalsh((sym + sym.T) / 2.0)
     lam_max = float(eigs[-1]) if eigs.size else 0.0
     threshold = (len(eigs) if dim is None else dim) * EPS * max(lam_max, 0.0)

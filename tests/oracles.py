@@ -25,7 +25,7 @@ from lapcoarse.errors import (
 )
 from lapcoarse.graph import Graph, degrees
 from lapcoarse.kernels import _restricted_weights
-from lapcoarse.riesz import riesz_from_kernels
+from lapcoarse.kernels import riesz_from_kernels
 
 EPS = np.finfo(float).eps
 TOL_IMAG_RESIDUE = 1e-9      # allowed imaginary part when realifying a contour integral
@@ -262,7 +262,7 @@ def riesz_contour_oracle(
     eigenvalue modulus, using the trapezoidal rule on ``points`` equally
     spaced nodes.  Entirely independent of the kernel construction.
     """
-    lap = laplacian(cluster_set.subgraph(), kind).matrix
+    lap = laplacian(cluster_set.subgraph(), kind)
     spectrum = np.linalg.eigvals(lap)
     moduli = np.abs(spectrum)
     top = float(moduli.max(initial=0.0))

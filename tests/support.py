@@ -49,6 +49,12 @@ def triangle_cluster(graph=None):
     return build_cluster_set(graph or triangle(), TRIANGLE_CLUSTER, "undirected")
 
 
+def heavier_triangle():
+    """The triangle with its a-b edges weighted 5: same nodes and cluster edges."""
+    edges = sym("a", "b", 5.0) + sym("a", "c") + sym("b", "c")
+    return build_graph([("a", 1.0), ("b", 1.0), ("c", 1.0)], edges)
+
+
 def hub_pair(rho: float = RHO, eta: float = ETA, w13: float = 1.0):
     """Hub node 1 doubly linked to a two-node cycle on {2, 3}.
 
@@ -253,7 +259,7 @@ def mass_norm(a, masses) -> float:
 def scaled_laplacian(graph, cluster_set, kind: str, beta: float, cluster_only=False):
     """Laplacian of the graph (or its cluster subgraph) with cluster weights times beta."""
     g = cluster_set.subgraph() if cluster_only else graph
-    return laplacian(scale_edges(g, cluster_set.total_edges, beta), kind).matrix
+    return laplacian(scale_edges(g, cluster_set.total_edges, beta), kind)
 
 
 def oracle_resolvent_diff(graph, cluster_set, result, beta: float, z):
@@ -267,7 +273,7 @@ def oracle_resolvent_diff(graph, cluster_set, result, beta: float, z):
     kind = "out" if result.mode == "out" else "in"
     shifted = scaled_laplacian(graph, cluster_set, kind, beta) - z * np.eye(graph.n)
     full = np.linalg.inv(shifted)
-    red = np.linalg.inv(result.reduced_laplacian.matrix - z * np.eye(result.size))
+    red = np.linalg.inv(result.reduced_laplacian - z * np.eye(result.size))
     s = np.sqrt(graph.masses)
     sigma = np.linalg.svd(shifted * s[:, None] / s[None, :], compute_uv=False)
     floor = np.finfo(float).eps * sigma[0] / sigma[-1] ** 2

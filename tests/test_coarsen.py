@@ -29,7 +29,7 @@ from lapcoarse.errors import (
 from lapcoarse.graph import build_graph, is_undirected, laplacian
 from lapcoarse.io import export_dot, serialize_graph
 from lapcoarse.kernels import _check_basis, kernels_in
-from lapcoarse.riesz import riesz_from_kernels
+from lapcoarse.kernels import riesz_from_kernels
 
 
 def test_triangle_reduction_values():
@@ -40,7 +40,7 @@ def test_triangle_reduction_values():
     assert red.masses.tolist() == [1.0, 2.0]
     assert sorted(red.edges()) == [("a", "b+c", 2.0), ("b+c", "a", 2.0)]
     assert np.array_equal(
-        result.reduced_laplacian.matrix, [[2.0, -2.0], [-1.0, 1.0]]
+        result.reduced_laplacian, [[2.0, -2.0], [-1.0, 1.0]]
     )
     assert result.node_map == {"a": ("a",), "b+c": ("b", "c")}
 
@@ -50,9 +50,9 @@ def test_triangle_interpolation_operators():
     result = coarsen(g, S.triangle_cluster(g), "undirected")
     assert np.array_equal(result.up, [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])
     assert np.array_equal(result.down, [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]])
-    background = laplacian(S.triangle_cluster(g).background(), "in").matrix
+    background = laplacian(S.triangle_cluster(g).background(), "in")
     projected = result.down @ background @ result.up
-    assert np.abs(projected - result.reduced_laplacian.matrix).max() <= 1e-12
+    assert np.abs(projected - result.reduced_laplacian).max() <= 1e-12
 
 
 def test_no_clusters_means_identity_coarsening():
@@ -91,7 +91,7 @@ def test_source_pair_reduction_loses_connectivity():
     result = coarsen(g, S.two_sources_cluster(g), "in")
     assert list(result.reduced.edges()) == []
     assert result.reduced.masses.tolist() == [1.0, 2.0]
-    assert np.array_equal(result.reduced_laplacian.matrix, np.zeros((2, 2)))
+    assert np.array_equal(result.reduced_laplacian, np.zeros((2, 2)))
 
 
 def test_all_three_modes_agree_on_undirected_input():
@@ -115,7 +115,7 @@ def test_intra_cluster_background_edges_drop_as_self_loops():
     result = coarsen(g, build_cluster_set(g, cluster, "undirected"), "undirected")
     assert result.reduced.nodes == ("x+y+z",)
     assert list(result.reduced.edges()) == []
-    assert result.reduced_laplacian.matrix.tolist() == [[0.0]]
+    assert result.reduced_laplacian.tolist() == [[0.0]]
 
 
 def test_mode_and_orientation_mismatches_are_rejected():
@@ -152,7 +152,7 @@ def test_structural_invariants_on_random_undirected_fixtures():
         assert np.abs(result.up @ result.down - riesz_from_kernels(result.basis)).max() <= 1e-10
         assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
         assert abs(result.reduced.masses.sum() - g.masses.sum()) <= 1e-12 * g.masses.sum()
-        mat = result.reduced_laplacian.matrix
+        mat = result.reduced_laplacian
         scale = max(1.0, np.abs(mat).max())
         assert np.abs(mat @ np.ones(result.size)).max() <= 1e-10 * scale
         off = mat - np.diag(np.diag(mat))
@@ -160,7 +160,7 @@ def test_structural_invariants_on_random_undirected_fixtures():
         # the closed-form basis is the in-degree one of the same edges
         basis = result.basis
         assert basis.kind == "in"
-        _check_basis(laplacian(cs.subgraph(), "in").matrix, g.masses,
+        _check_basis(laplacian(cs.subgraph(), "in"), g.masses,
                      basis.right, basis.left, basis.right, basis.split)
         directed = kernels_in(g, build_cluster_set(g, pairs, "directed"))
         assert sorted(directed.labels) == sorted(basis.labels)
@@ -224,7 +224,7 @@ def test_structural_invariants_on_random_directed_fixtures():
             assert np.abs(result.down @ result.up - np.eye(result.size)).max() <= 1e-10
             total = g.masses.sum()
             assert abs(result.reduced.masses.sum() - total) <= 1e-12 * total
-            mat = result.reduced_laplacian.matrix
+            mat = result.reduced_laplacian
             scale = max(1.0, np.abs(mat).max())
             if result.mode == "in":
                 annihilated = mat @ np.ones(result.size)
@@ -294,7 +294,7 @@ def _nan_at(array, index):
 def _basis_gate(field):
     g = S.hub_pair()
     basis = kernels_in(g, S.hub_pair_cluster(g))
-    lap = laplacian(basis.cluster_set.subgraph(), "in").matrix
+    lap = laplacian(basis.cluster_set.subgraph(), "in")
     right, left = basis.right, basis.left
     if field == "right":
         right = _nan_at(right, (1, 1))
@@ -312,7 +312,7 @@ def _projector_gate():
 def _cross_check_gate(field):
     g = S.triangle()
     r = coarsen(g, S.triangle_cluster(g), "undirected")
-    compressed, down = r.reduced_laplacian.matrix, r.down
+    compressed, down = r.reduced_laplacian, r.down
     graph = g
     if field == "laplacian":
         compressed = _nan_at(compressed, (0, 1))
@@ -382,7 +382,7 @@ def test_basis_and_projector_gates_reject_entries_off_the_blocks(blocks_from, mo
     # on the blocks only the count of entries off them sees this one
     count = r"pairing and off-block entries 1\.0" if blocks_from == 0 else None
     with pytest.raises(KernelDefect, match=count):
-        lap = laplacian(basis.cluster_set.subgraph(), "in").matrix
+        lap = laplacian(basis.cluster_set.subgraph(), "in")
         _check_basis(lap, g.masses, stray, basis.left, stray, basis.split)
     with pytest.raises(ProjectorDefect, match="off-block entries 1"):
         riesz_from_kernels(dataclasses.replace(basis, right=stray))
@@ -399,7 +399,7 @@ def test_identity_gate_rejects_entries_off_the_blocks(blocks_from, monkeypatch):
     stray[r.reduced.index("b+c"), g.index("a")] = 1e-3
     with pytest.raises(ReductionMismatch, match="down @ up"):
         _cross_check(
-            "undirected", g, stray, r.up, r.reduced, r.reduced_laplacian.matrix, "in", r.split
+            "undirected", g, stray, r.up, r.reduced, r.reduced_laplacian, "in", r.split
         )
 
 
@@ -501,3 +501,26 @@ def test_transport_rejects_nan_entries(direction, distribution):
     result = coarsen(g, S.triangle_cluster(g), "undirected")
     with pytest.raises(NotADistribution):
         probability_transport_check(result, distribution, direction)
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_coarsening_rejects_a_cluster_set_of_another_graph(mode):
+    g1, g2 = S.triangle(), S.heavier_triangle()
+    kind = "undirected" if mode == "undirected" else "directed"
+    cs1, cs2 = (build_cluster_set(g, S.TRIANGLE_CLUSTER, kind) for g in (g1, g2))
+    assert coarsen(g1, cs1, mode).reduced.weight("a", "b+c") == 2.0
+    assert coarsen(g2, cs2, mode).reduced.weight("a", "b+c") == 6.0
+    with pytest.raises(ClusterViolation):
+        coarsen(g2, cs1, mode)
+    with pytest.raises(ClusterViolation):
+        coarsen(g1, cs2, mode)
+
+
+def test_laplacians_are_read_only_arrays():
+    g = S.triangle()
+    result = coarsen(g, S.triangle_cluster(g), "undirected")
+    for lap in (laplacian(g, "in"), laplacian(g, "out"), result.reduced_laplacian):
+        assert type(lap) is np.ndarray
+        assert not lap.flags.writeable
+        with pytest.raises(ValueError):
+            lap[0, 0] = 7.0

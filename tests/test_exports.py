@@ -1,4 +1,4 @@
-"""Stale public names, unused exports and dead tolerance-table entries."""
+"""Stale public names, unused exports, dead tolerance-table entries and untyped raises."""
 
 import ast
 import importlib
@@ -7,7 +7,7 @@ import re
 from pathlib import Path
 
 import lapcoarse
-from lapcoarse import numerics
+from lapcoarse import errors, numerics
 
 
 def test_every_exported_name_resolves():
@@ -54,3 +54,50 @@ def test_every_root_export_is_used_or_documented():
     documented |= set(re.findall(r"\blc\.([A-Za-z_]\w*)", library_use))
     unused = [name for name in lapcoarse.__all__ if name not in read | documented]
     assert unused == []
+
+
+class _Raises(ast.NodeVisitor):
+    """The class each ``raise`` names, and the error class each ``require`` call passes.
+
+    A ``raise`` of a parameter of its function (``require``'s ``error``) is
+    left out: the classes passed to it are collected at the calls.
+    """
+
+    def __init__(self):
+        self.params: list[set[str]] = [set()]
+        self.names: list[tuple[int, str]] = []
+
+    def visit_FunctionDef(self, node):
+        self.params.append({arg.arg for arg in node.args.args})
+        self.generic_visit(node)
+        self.params.pop()
+
+    def visit_Raise(self, node):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if exc is not None and not (isinstance(exc, ast.Name) and exc.id in self.params[-1]):
+            self.names.append((node.lineno, ast.unparse(exc)))
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if isinstance(node.func, ast.Name) and node.func.id == "require":
+            self.names.append((node.lineno, ast.unparse(node.args[0])))
+        self.generic_visit(node)
+
+
+def test_every_raise_outside_the_cli_names_a_package_error():
+    defined = {
+        name for name, obj in vars(errors).items()
+        if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    foreign = []
+    for path in sorted(Path(lapcoarse.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        visitor = _Raises()
+        visitor.visit(ast.parse(path.read_text()))
+        foreign += [
+            f"{path.name}:{line} {name}" for line, name in visitor.names if name not in defined
+        ]
+    assert foreign == []
+    assert issubclass(errors.InvalidOption, errors.ValidationError)
+    assert issubclass(errors.InvalidOption, ValueError)

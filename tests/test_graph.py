@@ -52,8 +52,8 @@ def test_single_node_graph_has_zero_laplacian():
     g = build_graph([("v", 1.0)])
     for kind in ("in", "out"):
         lap = laplacian(g, kind)
-        assert lap.matrix.shape == (1, 1)
-        assert lap.matrix[0, 0] == 0.0
+        assert lap.shape == (1, 1)
+        assert lap[0, 0] == 0.0
 
 
 def test_construction_rejects_bad_input():
@@ -84,23 +84,23 @@ def test_triangle_laplacian_matches_closed_form():
     g = triangle_beta(beta)
     base = np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
     bump = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, -1.0], [0.0, -1.0, 1.0]])
-    assert np.array_equal(laplacian(g, "in").matrix, base + beta * bump)
+    assert np.array_equal(laplacian(g, "in"), base + beta * bump)
 
     masses = np.array([1.0, 2.0, 4.0])
     heavy = build_graph(
         [(v, m) for v, m in zip("abc", masses)], list(g.edges())
     )
     expected = (base + beta * bump) / masses[:, np.newaxis]
-    assert np.array_equal(laplacian(heavy, "in").matrix, expected)
+    assert np.array_equal(laplacian(heavy, "in"), expected)
 
 
 def test_in_laplacian_annihilates_constants():
     ones = np.ones(3)
-    assert np.array_equal(laplacian(triangle_beta(10.0), "in").matrix @ ones, np.zeros(3))
+    assert np.array_equal(laplacian(triangle_beta(10.0), "in") @ ones, np.zeros(3))
     rng = np.random.default_rng(5)
     for _ in range(30):
         g = S.random_graph(rng)
-        mat = laplacian(g, "in").matrix
+        mat = laplacian(g, "in")
         scale = max(1.0, np.abs(mat).max())
         assert np.abs(mat @ np.ones(g.n)).max() <= 1e-12 * scale
 
@@ -109,7 +109,7 @@ def test_out_laplacian_mass_weighted_column_sums_vanish():
     rng = np.random.default_rng(6)
     for _ in range(30):
         g = S.random_graph(rng)
-        mat = laplacian(g, "out").matrix
+        mat = laplacian(g, "out")
         scale = max(1.0, np.abs(mat).max())
         assert np.abs(g.masses @ mat).max() <= 1e-12 * scale
 
@@ -119,7 +119,7 @@ def test_laplacian_sign_pattern():
     for _ in range(20):
         g = S.random_graph(rng)
         for kind in ("in", "out"):
-            mat = laplacian(g, kind).matrix
+            mat = laplacian(g, kind)
             off = mat - np.diag(np.diag(mat))
             assert off.max(initial=0.0) <= 0.0
             assert np.diag(mat).min(initial=0.0) >= 0.0
@@ -136,7 +136,7 @@ def test_laplacian_is_bit_identical_to_the_three_pass_formula():
     graphs.append(build_graph(masses, loops + chain))
     for g in graphs:
         for kind in ("in", "out"):
-            got, want = laplacian(g, kind).matrix, laplacian_three_pass(g, kind)
+            got, want = laplacian(g, kind), laplacian_three_pass(g, kind)
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -177,16 +177,16 @@ def test_out_laplacian_is_mass_adjoint_of_transposed_in_laplacian():
     for _ in range(50):
         g = S.random_graph(rng)
         m = g.masses
-        lhs = laplacian(g, "out").matrix
-        rhs = (laplacian(transpose(g), "in").matrix.T * m[np.newaxis, :]) / m[:, np.newaxis]
+        lhs = laplacian(g, "out")
+        rhs = (laplacian(transpose(g), "in").T * m[np.newaxis, :]) / m[:, np.newaxis]
         scale = max(1.0, np.abs(lhs).max())
         assert np.abs(lhs - rhs).max() <= 1e-14 * scale
 
 
 def test_undirected_laplacians_coincide_and_symmetrize_psd():
     g = triangle_beta(3.0)
-    lin = laplacian(g, "in").matrix
-    assert np.array_equal(lin, laplacian(g, "out").matrix)
+    lin = laplacian(g, "in")
+    assert np.array_equal(lin, laplacian(g, "out"))
     s = np.sqrt(g.masses)
     sym = lin * s[:, np.newaxis] / s[np.newaxis, :]
     assert np.linalg.eigvalsh((sym + sym.T) / 2).min() >= -1e-10
@@ -199,7 +199,7 @@ def test_boundedness_constant_on_fixtures():
     g = S.triangle()
     assert validate_boundedness(g) == 2.0
     for kind in ("in", "out"):
-        assert weighted_opnorm(laplacian(g, kind).matrix, g.masses) <= 4.0 + 1e-12
+        assert weighted_opnorm(laplacian(g, kind), g.masses) <= 4.0 + 1e-12
 
     assert validate_boundedness(build_graph([("v", 1.0)])) == 0.0
 
@@ -215,7 +215,7 @@ def test_boundedness_constant_on_fixtures():
         )
         c = validate_boundedness(light)
         assert c == n * (n - 1)
-        norm = weighted_opnorm(laplacian(light, "in").matrix, light.masses)
+        norm = weighted_opnorm(laplacian(light, "in"), light.masses)
         assert norm <= 2 * c * (1 + 1e-10)
 
 
@@ -225,7 +225,7 @@ def test_laplacian_norms_bounded_by_twice_degree_mass_ratio():
         g = S.random_graph(rng)
         bound = 2 * validate_boundedness(g) * (1 + 1e-10)
         for kind in ("in", "out"):
-            assert weighted_opnorm(laplacian(g, kind).matrix, g.masses) <= bound
+            assert weighted_opnorm(laplacian(g, kind), g.masses) <= bound
 
 
 # -- Dirichlet form --------------------------------------------------------------
@@ -240,7 +240,7 @@ def test_dirichlet_form_matches_quadratic_form_on_triangle():
     f = np.array([1.0, 0.0, 0.0])
     energy = dirichlet_form(g, f)
     assert energy == 2.0
-    assert g.inner(f, laplacian(g, "in").matrix @ f) == 2.0
+    assert g.inner(f, laplacian(g, "in") @ f) == 2.0
 
 
 def test_dirichlet_form_ignores_edges_inside_level_sets():
@@ -260,7 +260,7 @@ def test_dirichlet_form_equals_inner_product_with_laplacian():
         g = S.random_graph(rng, undirected=True)
         f = rng.normal(size=g.n)
         energy = dirichlet_form(g, f)
-        quad = float(np.real(g.inner(f, laplacian(g, "in").matrix @ f)))
+        quad = float(np.real(g.inner(f, laplacian(g, "in") @ f)))
         assert abs(energy - quad) <= 1e-12 * max(1.0, abs(energy))
 
 

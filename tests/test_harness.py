@@ -12,6 +12,7 @@ from lapcoarse.coarsen import coarsen
 from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.errors import (
     BetaLadderTooShort,
+    ClusterViolation,
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
@@ -124,7 +125,7 @@ def test_gershgorin_clearance_never_exceeds_the_eigenvalue_clearance(kind):
     for _ in range(30):
         g = S.random_graph(rng, max_nodes=10)
         for beta in (1.0, 1e3, 1e6):
-            mat = beta * laplacian(g, kind).matrix
+            mat = beta * laplacian(g, kind)
             eigs = np.linalg.eigvals(mat)
             slack = 1e-9 * max(1.0, float(np.abs(mat).max()))
             for z in (-1.0, -1e-3, -5.0, 1j, 0.5 + 2j, 3.0 + 0.1j, 1e3 - 1e2j):
@@ -140,7 +141,7 @@ def test_z_near_a_complex_eigenvalue_falls_back_to_the_eigensolve(monkeypatch):
         [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)],
     )
     cs = build_cluster_set(g, [], "directed")
-    eigs = np.linalg.eigvals(laplacian(g, "in").matrix)
+    eigs = np.linalg.eigvals(laplacian(g, "in"))
     lam = complex(eigs[np.argmax(eigs.imag)])
     assert lam.imag > 0.5
     calls = count_eigvals(monkeypatch)
@@ -302,7 +303,7 @@ def test_sweep_gaps_equal_the_gaps_of_the_scaled_subgraph(scale):
         kind = "out" if mode == "out" else "in"
         for beta, gap in zip(report.betas, report.gap_values):
             sub = scale_edges(cs.subgraph(), cs.total_edges, scale(beta) if scale else beta)
-            want = spectral_gap(laplacian(sub, kind).matrix, g.masses)
+            want = spectral_gap(laplacian(sub, kind), g.masses)
             assert abs(gap - want) <= 1e-12 * want
 
 
@@ -608,3 +609,29 @@ def test_resolvent_diff_and_gap_check_invert_no_whole_matrix(mode, monkeypatch):
     resolvent_diff(g, cs, mode, 1e3, -1.0 + 0.5j)
     gap_bound_check(g, cs, mode, 1e3)
     assert sizes and max(sizes) < g.n
+
+
+@pytest.mark.parametrize("call", ["resolvent_diff", "heat_diff", "sweep"])
+def test_harness_rejects_a_coarsening_of_another_graph_or_mode(call):
+    run = {
+        "resolvent_diff": lambda g, cs, r: resolvent_diff(g, cs, "undirected", 1e3, result=r),
+        "heat_diff": lambda g, cs, r: heat_diff(g, cs, "undirected", 1e3, 1.0, result=r),
+        "sweep": lambda g, cs, r: sweep(g, cs, "undirected", LADDER, result=r),
+    }[call]
+    g1, g2 = S.triangle(), S.heavier_triangle()
+    cs1, cs2 = S.triangle_cluster(g1), S.triangle_cluster(g2)
+    r1 = coarsen(g1, cs1, "undirected")
+    with pytest.raises(ClusterViolation):
+        run(g2, cs2, r1)
+    with pytest.raises(ClusterViolation):
+        run(g2, cs1, r1)
+    with pytest.raises(ClusterViolation):
+        run(g1, cs1, coarsen(g1, build_cluster_set(g1, S.TRIANGLE_CLUSTER, "directed"), "in"))
+    edges = S.sym("a", "b") + S.sym("a", "c") + S.sym("b", "c") + S.sym("a", "d")
+    square = build_graph([(v, 1.0) for v in "abcd"], edges)
+    with pytest.raises(ClusterViolation):
+        run(square, S.triangle_cluster(square), r1)
+    # the same coarsening, given or made again, gives the same answer
+    assert run(g2, cs2, coarsen(g2, cs2, "undirected")) == run(g2, cs2, None)
+    again = coarsen(S.triangle(), S.triangle_cluster(), "undirected")
+    assert run(g1, cs1, again) == run(g1, cs1, r1)

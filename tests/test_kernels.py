@@ -6,9 +6,10 @@ import pytest
 import support as S
 from support import TOL_WEIGHT_VECTOR
 from lapcoarse.connectivity import build_cluster_set, reaches
+from lapcoarse.errors import ClusterViolation
 from lapcoarse.graph import build_graph, laplacian, transpose
 from lapcoarse import kernels
-from lapcoarse.kernels import kernels_in, kernels_out
+from lapcoarse.kernels import kernels_in, kernels_out, kernels_undirected
 from lapcoarse.numerics import solve
 from oracles import (
     ReachTooLargeForEnumeration,
@@ -260,7 +261,7 @@ def test_kernel_basis_properties_on_random_digraphs():
             ("in", kernels_in(g, cs)),
             ("out", kernels_out(g, cs)),
         ):
-            lap = laplacian(sub, kind).matrix
+            lap = laplacian(sub, kind)
             scale = max(1.0, np.abs(lap).max())
             assert np.abs(lap @ basis.right).max() <= 1e-10 * scale
             assert np.abs((basis.left * g.masses[:, None]).T @ lap).max() <= 1e-10 * scale
@@ -296,7 +297,7 @@ def test_kernel_bases_agree_with_svd_null_spaces():
             ("in", kernels_in(g, cs)),
             ("out", kernels_out(g, cs)),
         ):
-            null = svd_nullspace(laplacian(sub, kind).matrix)
+            null = svd_nullspace(laplacian(sub, kind))
             assert principal_angle_gap(basis.right, null) <= 1e-8
 
 
@@ -337,7 +338,7 @@ def test_one_node_reaches_fill_the_same_columns_as_the_loop():
         sub = cs.subgraph()
         sub_t = transpose(sub)
         for side, dec in ((sub, cs.decomposition), (sub_t, reaches(sub_t))):
-            lap = laplacian(side, "in").matrix
+            lap = laplacian(side, "in")
             assert np.array_equal(
                 kernels._indicator_vectors(lap, dec, index),
                 loop_indicator_vectors(lap, dec, index),
@@ -347,3 +348,16 @@ def test_one_node_reaches_fill_the_same_columns_as_the_loop():
             )
             singles += sum(len(reach.nodes) == 1 for reach in dec)
     assert singles > 100
+
+
+@pytest.mark.parametrize("build", [kernels_in, kernels_out, kernels_undirected])
+def test_builders_reject_a_cluster_set_of_another_graph(build):
+    g1, g2 = S.triangle(), S.heavier_triangle()
+    kind = "undirected" if build is kernels_undirected else "directed"
+    cs1, cs2 = (build_cluster_set(g, S.TRIANGLE_CLUSTER, kind) for g in (g1, g2))
+    with pytest.raises(ClusterViolation):
+        build(g2, cs1)
+    with pytest.raises(ClusterViolation):
+        build(g1, cs2)
+    # an equal graph built separately is the same graph
+    assert np.array_equal(build(S.triangle(), cs1).left, build(g1, cs1).left)

@@ -7,6 +7,7 @@ import support as S
 from support import TOL_OPNORM
 from lapcoarse import numerics
 from lapcoarse.errors import (
+    KernelDefect,
     MatrixTooLarge,
     NonFiniteMatrix,
     NotSymmetrizable,
@@ -18,6 +19,7 @@ from lapcoarse.numerics import (
     inverse,
     mass_symmetrize,
     matrix_exp,
+    require,
     solve,
     spectral_gap,
     weighted_opnorm,
@@ -49,7 +51,7 @@ def test_identity_solve_returns_the_right_hand_side():
 
 def test_shifted_triangle_solve_matches_explicit_inverse():
     g = scale_edges(S.triangle(), S.TRIANGLE_CLUSTER, 10.0)
-    a = laplacian(g, "in").matrix + np.eye(3)
+    a = laplacian(g, "in") + np.eye(3)
     x = solve(a.astype(complex), np.eye(3))
     explicit = adjugate_3x3(a) / np.linalg.det(a)
     assert np.abs(x - explicit).max() <= 1e-12 * np.abs(explicit).max()
@@ -232,14 +234,14 @@ def test_mass_symmetrization_is_a_similarity_transform():
 def test_clique_gap_equals_the_node_count():
     for n in (4, 8, 16, 32):
         g = S.clique(n)
-        gap = spectral_gap(laplacian(g, "in").matrix, g.masses)
+        gap = spectral_gap(laplacian(g, "in"), g.masses)
         assert abs(gap - n) <= 1e-10 * n
 
 
 def test_single_edge_gap_is_twice_the_weight():
     beta = 1e3
     g = build_graph([("u", 1.0), ("v", 1.0)], S.sym("u", "v", beta))
-    gap = spectral_gap(laplacian(g, "in").matrix, g.masses)
+    gap = spectral_gap(laplacian(g, "in"), g.masses)
     assert abs(gap - 2 * beta) <= 1e-12 * beta
 
 
@@ -248,18 +250,18 @@ def test_disconnected_gap_is_the_minimum_over_components():
         [(v, 1.0) for v in "uvxy"],
         S.sym("u", "v", 5.0) + S.sym("x", "y", 2.0),
     )
-    gap = spectral_gap(laplacian(g, "in").matrix, g.masses)
+    gap = spectral_gap(laplacian(g, "in"), g.masses)
     pieces = []
     for pair, w in ((("u", "v"), 5.0), (("x", "y"), 2.0)):
         piece = build_graph([(v, 1.0) for v in pair], S.sym(*pair, w))
-        pieces.append(spectral_gap(laplacian(piece, "in").matrix, piece.masses))
+        pieces.append(spectral_gap(laplacian(piece, "in"), piece.masses))
     assert abs(gap - min(pieces)) <= 1e-12 * max(pieces)
 
 
 def test_gap_requires_a_symmetrizable_operator_and_handles_zero():
     g = S.hub_pair()
     with pytest.raises(NotSymmetrizable):
-        spectral_gap(laplacian(g, "in").matrix, g.masses)
+        spectral_gap(laplacian(g, "in"), g.masses)
     assert spectral_gap(np.zeros((3, 3)), np.ones(3)) == 0.0
 
 
@@ -284,7 +286,7 @@ def test_heat_semigroup_preserves_constants():
     ones_errors = []
     for _ in range(30):
         g = S.random_graph(rng)
-        flow = matrix_exp(-laplacian(g, "in").matrix, 1.7)
+        flow = matrix_exp(-laplacian(g, "in"), 1.7)
         ones_errors.append(np.abs(flow @ np.ones(g.n) - 1.0).max())
     assert max(ones_errors) <= 1e-10
 
@@ -294,7 +296,7 @@ def test_heat_semigroup_preserves_constants():
 
 def test_symmetric_psd_spectra_are_real_and_nonnegative():
     g = S.clique(5)
-    vals = eigvals(laplacian(g, "in").matrix)
+    vals = eigvals(laplacian(g, "in"))
     assert np.abs(vals.imag).max() <= 1e-10
     assert vals.real.min() >= -1e-10
 
@@ -303,7 +305,7 @@ def test_scaled_cluster_laplacian_spectrum_stays_right_of_the_axis():
     g = S.hub_pair()
     for beta in (1.0, 1e2, 1e4):
         scaled = scale_edges(g, S.HUB_PAIR_CLUSTER, beta)
-        mat = laplacian(scaled, "in").matrix
+        mat = laplacian(scaled, "in")
         assert eigvals(mat).real.min() >= -1e-10 * max(1.0, beta)
         assert spectrum_in_right_half_plane(mat, tol=1e-10 * beta)
     assert not spectrum_in_right_half_plane(-np.eye(2))
@@ -320,10 +322,10 @@ def test_eigvals_of_a_diagonal_matrix():
 
 def test_nullspace_dimension_counts_reaches():
     g = S.two_chains()
-    null = svd_nullspace(laplacian(g, "in").matrix)
+    null = svd_nullspace(laplacian(g, "in"))
     assert null.shape == (4, 2)
     assert np.abs(null.T @ null - np.eye(2)).max() <= 1e-12
-    lap = laplacian(g, "in").matrix
+    lap = laplacian(g, "in")
     assert np.abs(lap @ null).max() <= 1e-12 * np.abs(lap).max()
 
 
@@ -343,3 +345,15 @@ def test_principal_angle_gap_extremes_and_small_rotations():
     gap = principal_angle_gap(e1, rotated)
     assert 1e-10 <= gap <= 1e-8
     assert principal_angle_gap(np.eye(3)[:, :2], e1) == 1.0
+
+
+def test_require_fails_on_nan_and_names_every_residual():
+    require(KernelDefect, "basis", 1e-7, {"right": 1e-7, "left": 0.0})
+    with pytest.raises(KernelDefect) as info:
+        require(KernelDefect, "basis", 1e-7, {"right": 2e-7, "left": 0.0})
+    assert str(info.value) == (
+        "basis residual 2.000e-07 exceeds 1.000e-07 (right 2.000e-07, left 0.000e+00)"
+    )
+    nan_message = r"basis residual nan exceeds .* \(right 0\.000e\+00, left nan\)"
+    with pytest.raises(KernelDefect, match=nan_message):
+        require(KernelDefect, "basis", 1e-7, {"right": 0.0, "left": float("nan")})

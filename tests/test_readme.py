@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import lapcoarse
 from lapcoarse.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -70,3 +71,11 @@ def test_readme_library_snippet_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
     assert out.getvalue().splitlines() == want
+
+
+def test_module_map_lists_exactly_the_package_modules():
+    table = README.split("## Module map", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `lapcoarse\.(\w+)` \|", table, re.M)
+    package = Path(lapcoarse.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert sorted(listed) == sorted(modules)
