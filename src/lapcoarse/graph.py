@@ -180,23 +180,30 @@ def laplacian(graph: Graph, kind: Kind = IN) -> np.ndarray:
     return mat
 
 
+def _cells(graph: Graph, pairs: Iterable[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (heads) and columns (tails) of drawn pairs in ``graph.weights``."""
+    cells = [(graph.index(dst), graph.index(src)) for src, dst in pairs]
+    return tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
+
+
 def restrict_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
     """Subgraph with the same nodes/masses and only the given drawn edges."""
-    keep = np.zeros_like(graph.weights, dtype=bool)
-    for src, dst in pairs:
-        i, j = graph.index(dst), graph.index(src)
-        if graph.weights[i, j] <= 0.0:
-            raise UnknownEndpoint(f"({src!r}, {dst!r}) is not an edge of the graph")
-        keep[i, j] = True
-    return Graph(graph.nodes, graph.masses.copy(), np.where(keep, graph.weights, 0.0))
+    rows, cols = _cells(graph, pairs)
+    kept = graph.weights[rows, cols]
+    absent = np.flatnonzero(kept <= 0.0)
+    if absent.size:
+        src, dst = graph.nodes[cols[absent[0]]], graph.nodes[rows[absent[0]]]
+        raise UnknownEndpoint(f"({src!r}, {dst!r}) is not an edge of the graph")
+    weights = np.zeros_like(graph.weights)
+    weights[rows, cols] = kept
+    return Graph(graph.nodes, graph.masses.copy(), weights)
 
 
 def drop_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
     """Complement of :func:`restrict_edges`: remove the given drawn edges."""
-    drop = np.zeros_like(graph.weights, dtype=bool)
-    for src, dst in pairs:
-        drop[graph.index(dst), graph.index(src)] = True
-    return Graph(graph.nodes, graph.masses.copy(), np.where(drop, 0.0, graph.weights))
+    weights = graph.weights.copy()
+    weights[_cells(graph, pairs)] = 0.0
+    return Graph(graph.nodes, graph.masses.copy(), weights)
 
 
 def validate_boundedness(graph: Graph) -> float:

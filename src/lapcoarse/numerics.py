@@ -7,6 +7,9 @@ squaring, Pade 13 inside scipy) and QR eigenvalues.  Everything is
 dense; the guard :data:`SIZE_LIMIT` keeps callers honest about the
 desk-scale design.
 
+scipy loads on the first LAPACK, BLAS or ``expm`` use, not at import:
+coarsening runs on numpy alone, and ``scipy.linalg`` takes about 0.3 s.
+
 The operator norm is the top singular value, taken from the Gram matrix,
 which a symmetric or Hermitian rank-k update forms in one triangle; every
 reader of it reads that triangle.  On larger matrices a Lanczos estimate
@@ -24,7 +27,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     MatrixTooLarge,
@@ -91,11 +93,13 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
 def _lapack(name: str, dtype: np.dtype):
     """LAPACK routine ``name`` for ``dtype``, looked up once: the lookup
     costs more than the call on the small matrices of a reduced graph."""
+    import scipy.linalg
     return scipy.linalg.get_lapack_funcs((name,), dtype=dtype)[0]
 
 
 @functools.lru_cache(maxsize=None)
 def _blas(name: str, dtype: np.dtype):
+    import scipy.linalg
     return scipy.linalg.get_blas_funcs((name,), dtype=dtype)[0]
 
 
@@ -133,7 +137,8 @@ def solve(a, b) -> np.ndarray:
         raise NonFiniteMatrix("right-hand side contains NaN or Inf entries")
     if a.shape[0] == 0:
         return np.zeros_like(b_arr)
-    return scipy.linalg.lu_solve(_lu_factor(a), b_arr, check_finite=False)
+    lu, piv = _lu_factor(a)
+    return _lapack("getrs", np.result_type(lu, b_arr))(lu, piv, b_arr)[0]
 
 
 def inverse(a) -> np.ndarray:
@@ -282,6 +287,7 @@ def matrix_exp(a, t: float = 1.0) -> np.ndarray:
     a = _as_matrix(a)
     if a.shape[0] == 0:
         return np.zeros_like(a)
+    import scipy.linalg
     return scipy.linalg.expm(t * a)
 
 

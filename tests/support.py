@@ -24,6 +24,7 @@ TOL_OPNORM = 1e-13           # weighted operator norm vs the SVD's top singular 
 TOL_ORACLE = 1e-11           # harness vs the whole-matrix oracle, relative, beta <= 1e4
 TOL_ORACLE_STIFF = 1e-8      # the same at beta = 1e6
 TOL_BLOCKS = 1e-14           # block-form coarsening vs whole-matrix products, relative
+TOL_LU_SOLVE = 0.0           # solve vs scipy's lu_factor + lu_solve: the same LAPACK calls
 
 
 def sym_pairs(u: str, v: str):

@@ -1,9 +1,13 @@
 """Command line behavior: subcommands, exit codes, output routing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import lapcoarse
 import support as S
 from lapcoarse.cli import main
 from lapcoarse.errors import InvariantViolation
@@ -289,3 +293,38 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("lapcoarse ")
+
+
+# argv: graph file, cluster file.  Run in a fresh interpreter, since the
+# test process has scipy loaded already.
+SCIPY_ON_FIRST_USE = """
+import sys
+import lapcoarse
+from lapcoarse.cli import main
+
+graph, edges = sys.argv[1], ["--cluster-edges", sys.argv[2]]
+assert "scipy.linalg" not in sys.modules, "import lapcoarse"
+for argv in (
+    ["analyze", graph],
+    ["kernels", graph, *edges],
+    ["coarsen", graph, *edges, "--mode", "undirected"],
+    ["coarsen", graph, *edges, "--mode", "in"],
+):
+    assert main(argv) == 0
+    assert "scipy.linalg" not in sys.modules, argv[0]
+assert main(["verify", graph, *edges, "--mode", "undirected"]) == 0
+assert "scipy.linalg" in sys.modules, "verify"
+"""
+
+
+def test_scipy_loads_only_for_commands_that_call_it(triangle_files):
+    src = os.path.dirname(os.path.dirname(lapcoarse.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", SCIPY_ON_FIRST_USE, *triangle_files],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

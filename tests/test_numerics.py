@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import support as S
-from support import TOL_OPNORM
+from support import TOL_LU_SOLVE, TOL_OPNORM
 from lapcoarse import numerics
 from lapcoarse.errors import (
     KernelDefect,
@@ -71,6 +72,35 @@ def test_solve_backward_error_on_well_conditioned_systems():
         x = solve(a, b)
         backward = np.linalg.norm(a @ x - b) / (np.linalg.norm(a) * np.linalg.norm(x))
         assert backward <= 1e-12
+
+
+@pytest.mark.parametrize("rhs_shape", [(6,), (6, 3)])
+@pytest.mark.parametrize(
+    "a_complex, b_complex", [(False, False), (False, True), (True, True), (True, False)]
+)
+def test_solve_matches_scipy_lu_solve(rhs_shape, a_complex, b_complex):
+    rng = np.random.default_rng(79)
+    a = rng.normal(size=(6, 6)) + (1j * rng.normal(size=(6, 6)) if a_complex else 0)
+    b = rng.normal(size=rhs_shape) + (1j * rng.normal(size=rhs_shape) if b_complex else 0)
+    b_before = b.copy()
+    x = solve(a, b)
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+    assert x.shape == expected.shape and x.dtype == expected.dtype
+    assert np.abs(x - expected).max() <= TOL_LU_SOLVE * np.abs(expected).max()
+    assert np.array_equal(b, b_before)
+
+
+def test_solve_of_an_empty_system_is_empty():
+    for rhs in (np.zeros(0), np.zeros((0, 2), dtype=complex)):
+        x = solve(np.zeros((0, 0)), rhs)
+        assert x.shape == rhs.shape and x.dtype == rhs.dtype
+
+
+def test_solve_rejects_a_pivot_that_lu_solve_would_accept():
+    a = np.diag([1.0, 1e-17])
+    assert np.isfinite(scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), np.ones(2))).all()
+    with pytest.raises(SingularMatrix, match="pivot 1.000e-17 below threshold"):
+        solve(a, np.ones(2))
 
 
 def test_inverse_round_trips():
