@@ -52,6 +52,10 @@ class DuplicateNode(ValidationError):
     pass
 
 
+class EmptyGraph(ValidationError):
+    """A graph needs at least one node."""
+
+
 class UnknownNode(ValidationError):
     pass
 
@@ -134,7 +138,7 @@ class BetaLadderTooShort(ValidationError):
 
 
 class ZOnSpectrumAxis(ValidationError):
-    """The evaluation point z touches the nonnegative real axis."""
+    """z is not finite, or touches the nonnegative real axis or the spectrum."""
 
 
 class NonPositiveTime(ValidationError):

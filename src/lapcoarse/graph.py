@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     DuplicateEdge,
     DuplicateNode,
+    EmptyGraph,
     InvalidOption,
     NonPositiveMass,
     NonPositiveWeight,
@@ -114,6 +115,8 @@ def build_graph(
     Duplicate edge rows are rejected even when weights agree.
     """
     node_list = list(nodes)
+    if not node_list:
+        raise EmptyGraph("a graph needs at least one node")
     ids = [v for v, _ in node_list]
     if len(set(ids)) != len(ids):
         seen, dupes = set(), set()

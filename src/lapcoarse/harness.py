@@ -12,11 +12,11 @@ edges.  A is zero off the p cluster nodes, where up, down and the kernel
 projector are diagonal: every other node is its own reduced node, the
 nearly decomposable structure of Courtois (1977).  One cluster-block
 engine, built once per call, holds the p x p blocks L_cc and A_cc, the
-Gershgorin disks of the other rows and columns and the elimination of
-the outside block of L - z; per beta it forms only L_cc + (beta - 1) A_cc,
-the cluster rows of the z-guard and the Schur complement.  ``sweep`` and
-``resolvent_diff`` run on it; each difference is still the dense norm of
-the whole resolvent difference.
+diagonal of L and the elimination of the outside block of L - z; per
+beta it forms only L_cc + (beta - 1) A_cc and the Schur complement, and
+guards z by the diagonal alone.  ``sweep`` and ``resolvent_diff`` run on
+it; each difference is still the dense norm of the whole resolvent
+difference.
 
 The gap bound check measures the distance between the resolvent of the
 scaled cluster subgraph and the rank-preserving part of its kernel
@@ -75,55 +75,42 @@ def _multiplier(value: float) -> float:
     return float(value)
 
 
-def _disks(matrix: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Gershgorin disks of a real ``matrix``: centres, row radii, radii of the
-    columns of ``M matrix M^-1``, and the diagonal."""
-    mags, disks = np.abs(matrix), np.empty((4, len(matrix)))
-    disks[0] = mags.diagonal()
-    np.subtract(np.add.reduce(mags, axis=1), disks[0], out=disks[1])
-    np.subtract((masses @ mags) / masses, disks[0], out=disks[2])
-    disks[3] = matrix.diagonal()
-    return disks
+def _clearance(centres: np.ndarray, z: complex) -> float:
+    """Lower bound on the distance from ``z`` to the spectrum of a Laplacian with diagonal c.
 
-
-def _clearance(disks: np.ndarray, z: complex) -> float:
-    """Lower bound on the distance from ``z`` to the spectrum ``disks`` enclose.
-
-    The row and the column disks each enclose it; the better bound is kept,
-    less a slack ``2 n eps (max centre + max radius + |z|)`` for rounding.
-    The disks of an in-Laplacian (rows) and of an out-Laplacian (columns)
-    lie in Re >= 0, so for Re z < 0 the bound is |Re z| less the slack.
+    Off the diagonal, ``L + (beta - 1) A``, the reduced Laplacian and the
+    cluster block hold ``-W/m <= 0``, and their rows (in kind) or the
+    columns of ``M L M^-1`` (out kind) sum to zero: those Gershgorin disks
+    are ``D(c_i, c_i)``, at least ``|c_i - z| - c_i`` from z.  In the computed
+    matrix a radius is within about ``(n + 4) eps c_i`` of its centre, which
+    the slack ``2 n eps (2 max c + |z|)`` covers for n >= 2 (1 x 1 has no radius).
     """
-    centre, rows, cols = disks[:3].max(axis=1, initial=0.0).tolist()
-    bound = float((np.abs(disks[3] - z) - disks[1:3]).min(axis=1, initial=np.inf).max())
-    return bound - 2 * disks.shape[1] * EPS * (centre + max(rows, cols) + abs(z))
+    bound = float((np.abs(centres - z) - centres).min(initial=np.inf))
+    return bound - 2 * len(centres) * EPS * (2 * centres.max(initial=0.0) + abs(z))
 
 
-def _gershgorin_clearance(matrix: np.ndarray, masses: np.ndarray, z: complex) -> float:
-    return _clearance(_disks(matrix, masses), z)
-
-
-def _guard_z(z: complex, clearance: float, matrix: Callable[[], np.ndarray]) -> None:
-    """Raise ZOnSpectrumAxis when ``z`` comes within clearance of the spectrum.
+def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) -> None:
+    """Raise ZOnSpectrumAxis when ``z`` is not finite or comes near the spectrum.
 
     ``z`` must keep ``TOL_Z_CLEARANCE`` from the nonnegative real axis and from
-    every eigenvalue of ``matrix()``, a Laplacian.  The Gershgorin bound
-    ``clearance`` settles the common case (every Re z < 0); only when it
-    does not clear ``z`` is the matrix built and its eigenvalues computed.
+    every eigenvalue of ``matrix()``, a Laplacian with diagonal ``centres``;
+    its eigenvalues are computed only if ``_clearance`` does not clear ``z``.
     """
     zc = complex(z)
+    if not np.isfinite(zc):
+        raise ZOnSpectrumAxis(f"z = {z!r} is not finite")
     axis_dist = abs(zc.imag) if zc.real >= 0 else abs(zc)
     if axis_dist < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} lies on the nonnegative real axis")
-    if clearance >= TOL_Z_CLEARANCE:
+    if _clearance(centres, zc) >= TOL_Z_CLEARANCE:
         return
     clearance = float(np.abs(eigvals(matrix()) - zc).min())
     if clearance < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} is within {clearance:.3e} of the spectrum")
 
 
-def _resolvent(matrix: np.ndarray, masses: np.ndarray, z: complex) -> np.ndarray:
-    _guard_z(z, _gershgorin_clearance(matrix, masses, complex(z)), lambda: matrix)
+def _resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
+    _guard_z(z, matrix.diagonal(), lambda: matrix)
     return inverse(matrix - z * np.eye(matrix.shape[0]))
 
 
@@ -182,10 +169,10 @@ def _resolvent_diffs(
     """The engine: norms of ``(L + (m - 1) A - z)^-1`` minus the lifted reduced resolvent.
 
     In ``order``, the p cluster nodes first, A vanishes off the leading
-    p x p block, so the other rows and columns and their Gershgorin disks
-    are those of L for every m.  Only L's p x p block is kept; L is built
-    again if the disks do not clear z, or for every m if the outside block
-    fails the pivot gate (only possible for Re z >= 0).
+    p x p block, so the other rows, columns and diagonal entries are those
+    of L for every m.  Only L's p x p block and diagonal are kept; L is
+    built again if the diagonal bound does not clear z, or for every m if
+    the outside block fails the pivot gate (only possible for Re z >= 0).
     """
     graph, split, p = result.graph, result.split, len(result.split.inside)
     order = np.concatenate([split.inside, split.outside])
@@ -198,11 +185,8 @@ def _resolvent_diffs(
         return out
 
     lap = whole()
-    red = _resolvent(result.reduced_laplacian, result.reduced.masses, z)
-    lifted = split.lift(result.up, red, result.down.T)
-    disks = _disks(lap, masses)
-    # the outside columns' part of the cluster row radii, and conversely
-    rest = [np.abs(lap[:p, p:]).sum(axis=1), (masses[p:] @ np.abs(lap[p:, :p])) / masses[:p]]
+    lifted = split.lift(result.up, _resolvent(result.reduced_laplacian, z), result.down.T)
+    centres = lap.diagonal().copy()
     top = lap[:p, :p].copy()
     try:
         resolve = _eliminate_outside(lap, p, z)
@@ -215,9 +199,8 @@ def _resolvent_diffs(
     diffs = []
     for m in multipliers:
         block = top + (m - 1.0) * result.basis.cluster_block
-        disks[:, :p] = _disks(block, masses[:p])
-        disks[1:3, :p] += rest
-        _guard_z(z, _clearance(disks, complex(z)), lambda: whole(block))
+        centres[:p] = block.diagonal()
+        _guard_z(z, centres, lambda: whole(block))
         # each n x n and p x p temporary is dropped once used
         full = resolve(block)
         del block
@@ -320,7 +303,7 @@ def gap_bound_check(
     projector, outside = projector_blocks(result.basis)
     masses = graph.masses[result.basis.split.inside]
     lap = beta * result.basis.cluster_block
-    res = _resolvent(lap, masses, z) + projector / z
+    res = _resolvent(lap, z) + projector / z
     off = np.abs(1.0 / (-z) - outside / (-z)).max(initial=0.0)
     distance = float(np.maximum(weighted_opnorm(res, masses), off))
     gap = spectral_gap(lap, masses, graph.n)
@@ -372,8 +355,8 @@ def sweep(
     Each difference is the mass operator norm of the dense scaled resolvent
     minus the lifted reduced one, from the cluster-block engine: the rows
     and columns of ``L_beta - z`` off the p cluster nodes are eliminated
-    once, and each beta forms ``L_cc + (beta - 1) A_cc``, guards z on the
-    whole matrix through its cluster rows and inverts the Schur complement.
+    once, and each beta forms ``L_cc + (beta - 1) A_cc``, guards z by the
+    whole matrix's diagonal and inverts the Schur complement.
 
     The log-log slope of the differences against beta is fitted by least
     squares; the smallest beta is left out of the fit when more than three

@@ -237,22 +237,18 @@ def test_invalid_cluster_edges_exit_one(triangle_files, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_z_on_the_spectrum_axis_exits_one(triangle_files, capsys):
+def test_z_on_the_spectrum_axis_exits_one(triangle_files, capsys, monkeypatch):
+    # a non-finite z is rejected as well, before any eigensolve
+    harness = sys.modules["lapcoarse.harness"]
+    calls = []
+    monkeypatch.setattr(harness, "eigvals", lambda a: calls.append(a))
     graph, cluster = triangle_files
-    code = main(
-        [
-            "verify",
-            graph,
-            "--cluster-edges",
-            cluster,
-            "--mode",
-            "undirected",
-            "--z",
-            "0.0",
-        ]
-    )
-    assert code == 1
-    assert "error:" in capsys.readouterr().err
+    for z, message in [("0.0", "real axis"), ("nan", "is not finite"), ("-inf", "is not finite")]:
+        argv = ["verify", graph, "--cluster-edges", cluster, "--mode", "undirected", f"--z={z}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err
+    assert calls == []
 
 
 def test_usage_failures_exit_one(triangle_files, capsys):

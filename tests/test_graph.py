@@ -7,6 +7,7 @@ import support as S
 from lapcoarse.errors import (
     DuplicateEdge,
     DuplicateNode,
+    EmptyGraph,
     NonPositiveMass,
     NonPositiveWeight,
     NotUndirected,
@@ -72,6 +73,8 @@ def test_construction_rejects_bad_input():
         build_graph(nodes, [("a", "b", 1.0), ("a", "b", 1.0)])
     with pytest.raises(DuplicateNode):
         build_graph([("a", 1.0), ("a", 2.0)])
+    with pytest.raises(EmptyGraph):
+        build_graph([])
     with pytest.raises(NonPositiveWeight):
         from_weight_matrix(("a", "b"), [1.0, 1.0], [[0.0, -1.0], [0.0, 0.0]])
 

@@ -21,7 +21,8 @@ from lapcoarse.errors import (
 )
 from lapcoarse.graph import build_graph, laplacian
 from lapcoarse.harness import (
-    _gershgorin_clearance,
+    _clearance,
+    _guard_z,
     gap_bound_check,
     heat_diff,
     resolvent_diff,
@@ -119,20 +120,42 @@ def count_eigvals(monkeypatch):
     return calls
 
 
+def spread_mass_engine_matrices(kind: str):
+    """``L + (beta - 1) A`` in cluster-first order, with masses spread over 1e-3..1e3."""
+    rng = np.random.default_rng(97)
+    for _ in range(20):
+        g = S.random_graph(rng, max_nodes=10)
+        g = build_graph(zip(g.nodes, 10.0 ** rng.uniform(-3.0, 3.0, g.n)), g.edges())
+        cs = build_cluster_set(g, S.random_cluster_pairs(rng, g), "directed")
+        inside = [g.index(v) for v in sorted(cs.cluster_nodes)]
+        order = inside + [k for k in range(g.n) if k not in inside]
+        cluster = laplacian(cs.subgraph(), kind)
+        for beta in (1.0, 1e3, 1e6):
+            yield (laplacian(g, kind) + (beta - 1.0) * cluster)[np.ix_(order, order)]
+
+
 @pytest.mark.parametrize("kind", ["in", "out"])
 def test_gershgorin_clearance_never_exceeds_the_eigenvalue_clearance(kind):
     rng = np.random.default_rng(53)
-    for _ in range(30):
-        g = S.random_graph(rng, max_nodes=10)
-        for beta in (1.0, 1e3, 1e6):
-            mat = beta * laplacian(g, kind)
-            eigs = np.linalg.eigvals(mat)
-            slack = 1e-9 * max(1.0, float(np.abs(mat).max()))
-            for z in (-1.0, -1e-3, -5.0, 1j, 0.5 + 2j, 3.0 + 0.1j, 1e3 - 1e2j):
-                bound = _gershgorin_clearance(mat, g.masses, z)
-                assert bound <= float(np.abs(eigs - z).min()) + slack
-                if z.real < 0 and z.imag == 0:
-                    assert bound >= abs(z) / 2
+    mats = [
+        beta * laplacian(S.random_graph(rng, max_nodes=10), kind)
+        for _ in range(30)
+        for beta in (1.0, 1e3, 1e6)
+    ]
+    mats += list(spread_mass_engine_matrices(kind))
+    for mat in mats:
+        eigs = np.linalg.eigvals(mat)
+        scale = max(1.0, float(np.abs(mat).max()))
+        for z in (-1.0, -1e-3, -5.0, 1j, 0.5 + 2j, 3.0 + 0.1j, 1e3 - 1e2j):
+            for point in (z, scale * z):
+                bound = _clearance(mat.diagonal(), point)
+                assert bound <= float(np.abs(eigs - point).min()) + 1e-9 * scale
+                if point.real < 0 and point.imag == 0:
+                    assert bound >= abs(point) / 2
+        # at an eigenvalue off the real axis the bound must not clear z
+        for lam in eigs[np.abs(eigs.imag) > 1e-6]:
+            with pytest.raises(ZOnSpectrumAxis):
+                _guard_z(complex(lam), mat.diagonal(), lambda: mat)
 
 
 def test_z_near_a_complex_eigenvalue_falls_back_to_the_eigensolve(monkeypatch):
@@ -166,8 +189,9 @@ def test_sweep_guards_z_with_the_whole_matrix_gershgorin_bound(mode, monkeypatch
     seen = []
     original = harness._guard_z
     monkeypatch.setattr(
-        harness, "_guard_z", lambda z, bound, matrix: seen.append((bound, matrix())) or
-        original(z, bound, matrix)
+        harness, "_guard_z",
+        lambda z, centres, matrix: seen.append((_clearance(centres, z), matrix())) or
+        original(z, centres, matrix)
     )
     for label, g, pairs, z, _ in elimination_cases(mode):
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
@@ -177,10 +201,29 @@ def test_sweep_guards_z_with_the_whole_matrix_gershgorin_bound(mode, monkeypatch
         order = np.concatenate([result.split.inside, result.split.outside])
         per_beta = seen[1:]
         assert len(per_beta) == len(LADDER), label
-        for bound, matrix in per_beta:
-            want = _gershgorin_clearance(matrix, g.masses[order], complex(z))
-            # both sum the same radii in another order
-            assert abs(bound - want) <= 1e-12 * max(1.0, np.abs(matrix).max()), label
+        kind = "out" if mode == "out" else "in"
+        for beta, (bound, matrix) in zip(LADDER, per_beta):
+            assert bound == _clearance(matrix.diagonal(), z), label
+            want = S.scaled_laplacian(g, cs, kind, beta)[np.ix_(order, order)]
+            assert np.allclose(matrix, want, rtol=S.TOL_ORACLE, atol=0.0), (label, beta)
+
+
+NON_FINITE_Z = [float("nan"), complex("nan+0j"), float("-inf"), complex(-1.0, float("inf"))]
+
+
+@pytest.mark.parametrize("z", NON_FINITE_Z, ids=repr)
+def test_non_finite_z_is_rejected_before_any_eigensolve(z, monkeypatch):
+    g = S.triangle()
+    cs = S.triangle_cluster(g)
+    calls = count_eigvals(monkeypatch)
+    for call in (
+        lambda: sweep(g, cs, "undirected", LADDER, z=z),
+        lambda: resolvent_diff(g, cs, "undirected", 1e2, z=z),
+        lambda: gap_bound_check(g, cs, "undirected", 1e2, z=z),
+    ):
+        with pytest.raises(ZOnSpectrumAxis, match="is not finite"):
+            call()
+    assert calls == []
 
 
 # -- heat differences -------------------------------------------------------------
