@@ -16,13 +16,14 @@ Laplacian, and the mode picks the basis builder:
 In every mode the operators satisfy down @ up = identity and
 up @ down = Riesz projector of the cluster subgraph, total mass is
 conserved, and the reduced-graph Laplacian equals the compression
-down @ L_background @ up exactly (self-loops created by contraction are
-dropped; they never enter a Laplacian).  The compression identity is
-recomputed on every call and cross-checked against the Laplacian assembled
-from the reduced graph itself.  From 10^4 entries on, every product with
-down and up is taken on the two blocks of the basis' :class:`ClusterSplit`:
-the cluster nodes against the reaches on them, and an elementwise outside
-diagonal, read from the arrays rather than assumed to be 1.
+down @ L_background @ up exactly (:class:`Graph` drops the self-loops
+that contraction creates; they never enter a Laplacian).  The compression
+identity is recomputed on every call and cross-checked against the
+Laplacian assembled from the reduced graph itself.  From 10^4 entries on,
+every product with down and up is taken on the two blocks of the basis'
+:class:`ClusterSplit`: the cluster nodes against the reaches on them, and
+an elementwise outside diagonal, read from the arrays rather than assumed
+to be 1.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .errors import (
     NotUndirected,
     ReductionMismatch,
 )
-from .graph import Graph, build_graph, is_undirected, laplacian
+from .graph import Graph, is_undirected, laplacian
 from .kernels import ClusterSplit, KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
     TOL_AGGREGATE,
@@ -115,24 +116,14 @@ def _cross_check(
     return lap
 
 
-def _aggregate_edges(
-    labels: list[str], aggregate: np.ndarray
-) -> list[tuple[str, str, float]]:
-    """Off-diagonal aggregate weights as drawn edges, tiny noise dropped."""
+def _aggregate_edges(aggregate: np.ndarray) -> np.ndarray:
+    """Aggregate weights behind their gates, tiny noise cut to zero."""
     if not np.all(np.isfinite(aggregate)):
         raise NegativeAggregateWeight("aggregated weights contain NaN or Inf")
     tol = TOL_AGGREGATE * max(1.0, float(np.abs(aggregate).max()))
     negative = {"negative weight": -float(aggregate.min())}
     require(NegativeAggregateWeight, "aggregated weights", tol, negative)
-    mask = aggregate > tol
-    np.fill_diagonal(mask, False)
-    heads, tails = np.nonzero(mask)
-    return [
-        (labels[s], labels[r], w)
-        for r, s, w in zip(
-            heads.tolist(), tails.tolist(), aggregate[heads, tails].tolist()
-        )
-    ]
+    return np.where(aggregate > tol, aggregate, 0.0)
 
 
 def _assemble(
@@ -164,18 +155,15 @@ def _assemble(
     else:
         aggregate = split.sandwich(left, background.weights, right) * coarse_mass[None, :]
     labels = [r.label for r in basis.decomposition]
-    reduced = build_graph(
-        zip(labels, coarse_mass.tolist()), _aggregate_edges(labels, aggregate)
-    )
+    # the reduced graph's node ids are sorted; perm takes them from ``labels``
+    perm = sorted(range(len(labels)), key=labels.__getitem__)
+    weights = _aggregate_edges(aggregate).take(perm, axis=0).take(perm, axis=1)
+    reduced = Graph(tuple(labels[k] for k in perm), coarse_mass[perm], weights)
     compressed = split.sandwich(down.T, laplacian(background, kind), up)
-    # the positions of the reduced graph's (sorted) node ids inside ``labels``
-    where = {label: pos for pos, label in enumerate(labels)}
-    perm = [where[v] for v in reduced.nodes]
     down, up, split = down[perm], up[:, perm], split.permuted(perm)
     compressed = compressed.take(perm, axis=0).take(perm, axis=1)
     lap = _cross_check(mode, graph, down, up, reduced, compressed, kind, split)
-    members = {r.label: tuple(sorted(r.nodes)) for r in basis.decomposition}
-    node_map = {label: members[label] for label in reduced.nodes}
+    node_map = {labels[k]: tuple(sorted(basis.decomposition.reaches[k].nodes)) for k in perm}
     return CoarseningResult(
         mode, graph, cluster_set, reduced, down, up, lap, node_map, basis, split
     )

@@ -41,8 +41,6 @@ def _drawn_successors(graph: Graph) -> list[list[int]]:
     """Adjacency lists following drawn arrows: x -> y iff W[y, x] > 0."""
     # a 1-D nonzero and a sort of the few arrows beat a 2-D nonzero scan
     heads, tails = np.divmod(np.flatnonzero(graph.weights != 0.0), graph.n)
-    arrow = heads != tails
-    heads, tails = heads[arrow], tails[arrow]
     ends = np.cumsum(np.bincount(tails, minlength=graph.n)).tolist()
     flat = heads[np.argsort(tails, kind="stable")].tolist()
     return [flat[start:end] for start, end in zip([0] + ends, ends)]

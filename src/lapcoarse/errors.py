@@ -6,9 +6,9 @@ Two base classes matter for callers (and for the CLI's exit codes):
   unknown nodes, malformed files, ...).  CLI exit code 1.
 * :class:`InvariantViolation` -- the input was fine but a numerical
   invariant that the theory guarantees failed to hold (singular common
-  block, non-idempotent projector, ...).  These signal a bug or a
-  numerically hostile input and are never silently swallowed.  CLI exit
-  code 2.
+  block, non-idempotent projector, a NaN or Inf from an overflow inside
+  the package, ...).  These signal a bug or a numerically hostile input
+  and are never silently swallowed.  CLI exit code 2.
 """
 
 from __future__ import annotations
@@ -56,6 +56,10 @@ class EmptyGraph(ValidationError):
     """A graph needs at least one node."""
 
 
+class ShapeMismatch(ValidationError):
+    """An array lacks the shape its use needs."""
+
+
 class UnknownNode(ValidationError):
     pass
 
@@ -89,8 +93,8 @@ class UnknownEdge(ValidationError):
 
 # -- numerics ----------------------------------------------------------------
 
-class NonFiniteMatrix(ValidationError):
-    """NaN or Inf encountered in an input matrix."""
+class NonFiniteMatrix(InvariantViolation):
+    """NaN or Inf in a matrix: ``Graph`` rejects them, so the package made it."""
 
 
 class MatrixTooLarge(ValidationError):

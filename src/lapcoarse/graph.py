@@ -7,8 +7,9 @@ head-row convention: ``W[i, j]`` is the weight of the drawn arrow j -> i,
 so that the in-degree Laplacian is ``M^-1 (diag(row sums) - W)`` and the
 out-degree Laplacian is ``M^-1 (diag(column sums) - W)``.
 
-Instances are immutable after construction (arrays are set read-only) and
-safe to share across threads.
+Instances are immutable after construction (arrays are copied and set
+read-only) and safe to share across threads.  Self-loops are dropped at
+construction: a loop's weight cancels from ``D - W`` exactly.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     InvalidOption,
     NonPositiveMass,
     NonPositiveWeight,
+    ShapeMismatch,
     UnknownEndpoint,
     UnknownNode,
 )
@@ -41,6 +43,8 @@ class Graph:
     ``nodes`` is the canonical (lexicographic) node order; every vector and
     matrix in the package is indexed against it.  ``weights[i, j]`` is the
     weight of the drawn edge ``nodes[j] -> nodes[i]`` (0 where absent).
+    Construction validates the node ids, masses (finite, > 0) and weights
+    (finite, >= 0), copies both arrays and zeroes the weight diagonal.
     """
 
     nodes: tuple[str, ...]
@@ -49,9 +53,31 @@ class Graph:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_index", {v: k for k, v in enumerate(self.nodes)})
-        self.masses.setflags(write=False)
-        self.weights.setflags(write=False)
+        nodes, n = self.nodes, len(self.nodes)
+        if not n:
+            raise EmptyGraph("a graph needs at least one node")
+        index = {v: k for k, v in enumerate(nodes)}
+        if len(index) != n:
+            dupes = sorted({v for k, v in enumerate(nodes) if index[v] != k})
+            raise DuplicateNode(f"duplicate node identifiers: {dupes}")
+        masses = np.array(self.masses, dtype=float)
+        weights = np.array(self.weights, dtype=float, order="C")
+        if masses.shape != (n,) or weights.shape != (n, n):
+            raise ShapeMismatch(f"{n} nodes need masses {(n,)} and weights {(n, n)}")
+        bad = np.flatnonzero(~((0.0 < masses) & (masses < np.inf)))
+        if bad.size:
+            k = bad[0]
+            raise NonPositiveMass(f"node {nodes[k]!r} has non-positive mass {masses[k]}")
+        # two reductions clear valid weights; NaN fails both comparisons
+        if not (weights.min() >= 0.0 and weights.max() < np.inf):
+            i, j = np.argwhere(~((0.0 <= weights) & (weights < np.inf)))[0]
+            edge = f"{nodes[j]!r} -> {nodes[i]!r}"
+            raise NonPositiveWeight(f"edge {edge} has weight {weights[i, j]}")
+        np.fill_diagonal(weights, 0.0)
+        for name, value in (("masses", masses), ("weights", weights)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_index", index)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -108,48 +134,31 @@ def build_graph(
     nodes: Iterable[tuple[str, float]],
     edges: Iterable[tuple[str, str, float]] = (),
 ) -> Graph:
-    """Construct a validated :class:`Graph`.
+    """Construct a :class:`Graph` from an edge list.
 
     ``nodes`` are ``(id, mass)`` pairs; ``edges`` are drawn arrows
-    ``(src, dst, weight)``.  Node order is canonicalized to lexicographic.
-    Duplicate edge rows are rejected even when weights agree.
+    ``(src, dst, weight)`` with weight > 0, and a repeated edge is rejected
+    even when its weights agree.  Node order is canonicalized to lexicographic.
     """
-    node_list = list(nodes)
-    if not node_list:
-        raise EmptyGraph("a graph needs at least one node")
-    ids = [v for v, _ in node_list]
-    if len(set(ids)) != len(ids):
-        seen, dupes = set(), set()
-        for v in ids:
-            (dupes if v in seen else seen).add(v)
-        raise DuplicateNode(f"duplicate node identifiers: {sorted(dupes)}")
-    order = sorted(ids)
-    mass_by_id = dict(node_list)
-    for v, m in mass_by_id.items():
-        if not (m > 0) or not np.isfinite(m):
-            raise NonPositiveMass(f"node {v!r} has non-positive mass {m!r}")
-    index = {v: k for k, v in enumerate(order)}
-    n = len(order)
-    weights = np.zeros((n, n))
-    seen_pairs: set[tuple[str, str]] = set()
+    node_list = sorted(nodes, key=lambda node: node[0])
+    index = {v: k for k, (v, _) in enumerate(node_list)}
+    weights = np.zeros((len(node_list), len(node_list)))
     for src, dst, w in edges:
-        if src not in index:
-            raise UnknownEndpoint(f"edge references unknown node {src!r}")
-        if dst not in index:
-            raise UnknownEndpoint(f"edge references unknown node {dst!r}")
-        if (src, dst) in seen_pairs:
+        for v in (src, dst):
+            if v not in index:
+                raise UnknownEndpoint(f"edge references unknown node {v!r}")
+        cell = index[dst], index[src]
+        if weights[cell]:  # only listed weights, all > 0, are set
             raise DuplicateEdge(f"duplicate edge {src!r} -> {dst!r}")
-        seen_pairs.add((src, dst))
-        if not (w > 0) or not np.isfinite(w):
+        if not w > 0:
             raise NonPositiveWeight(f"edge {src!r} -> {dst!r} has weight {w!r}")
-        weights[index[dst], index[src]] = w
-    masses = np.array([mass_by_id[v] for v in order], dtype=float)
-    return Graph(tuple(order), masses, weights)
+        weights[cell] = w
+    return Graph(tuple(v for v, _ in node_list), [m for _, m in node_list], weights)
 
 
 def transpose(graph: Graph) -> Graph:
     """Reverse every edge, keep weights and masses."""
-    return Graph(graph.nodes, graph.masses.copy(), graph.weights.T.copy())
+    return Graph(graph.nodes, graph.masses, graph.weights.T)
 
 
 def is_undirected(graph: Graph) -> bool:
@@ -178,7 +187,7 @@ def laplacian(graph: Graph, kind: Kind = IN) -> np.ndarray:
     # 0 - W keeps absent entries +0, where negating would make them -0
     mat = np.subtract(0.0, graph.weights)
     mat /= graph.masses[:, np.newaxis]
-    np.fill_diagonal(mat, (deg - np.diagonal(graph.weights)) / graph.masses)
+    np.fill_diagonal(mat, deg / graph.masses)
     mat.setflags(write=False)
     return mat
 
@@ -199,19 +208,17 @@ def restrict_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
         raise UnknownEndpoint(f"({src!r}, {dst!r}) is not an edge of the graph")
     weights = np.zeros_like(graph.weights)
     weights[rows, cols] = kept
-    return Graph(graph.nodes, graph.masses.copy(), weights)
+    return Graph(graph.nodes, graph.masses, weights)
 
 
 def drop_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
     """Complement of :func:`restrict_edges`: remove the given drawn edges."""
-    weights = graph.weights.copy()
+    weights = graph.weights.copy()  # writable, where the graph's own is not
     weights[_cells(graph, pairs)] = 0.0
-    return Graph(graph.nodes, graph.masses.copy(), weights)
+    return Graph(graph.nodes, graph.masses, weights)
 
 
 def validate_boundedness(graph: Graph) -> float:
     """Degree-to-mass bound C; both Laplacian norms are at most 2C."""
-    ratios_in = degrees(graph, IN) / graph.masses
-    ratios_out = degrees(graph, OUT) / graph.masses
-    return float(max(ratios_in.max(initial=0.0), ratios_out.max(initial=0.0)))
+    return float(max((degrees(graph, kind) / graph.masses).max() for kind in (IN, OUT)))
 

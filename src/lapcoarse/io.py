@@ -108,9 +108,8 @@ def parse_graph(payload: str | bytes | dict) -> Graph:
     return graph
 
 
-def serialize_graph(graph: Graph) -> str:
-    """Canonical JSON text for a graph; stable byte-for-byte."""
-    doc = {
+def _graph_document(graph: Graph) -> dict:
+    return {
         "format_version": FORMAT_VERSION,
         "directed": not is_undirected(graph),
         "nodes": [
@@ -121,7 +120,11 @@ def serialize_graph(graph: Graph) -> str:
             {"src": s, "dst": d, "weight": w} for s, d, w in graph.edges()
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def serialize_graph(graph: Graph) -> str:
+    """Canonical JSON text for a graph; stable byte-for-byte."""
+    return json.dumps(_graph_document(graph), indent=2, sort_keys=True) + "\n"
 
 
 def parse_cluster_edges(payload: str | bytes | list):
@@ -195,7 +198,7 @@ def serialize_coarsening(result: CoarseningResult) -> str:
         "format_version": FORMAT_VERSION,
         "mode": result.mode,
         "parent_nodes": list(result.graph.nodes),
-        "reduced": json.loads(serialize_graph(result.reduced)),
+        "reduced": _graph_document(result.reduced),
         "node_map": {
             label: list(members) for label, members in result.node_map.items()
         },

@@ -68,9 +68,7 @@ __all__ = ["KernelBasis", "kernels_in", "kernels_out", "riesz_from_kernels"]
 def _restricted_weights(graph: Graph, nodes: Iterable[str]):
     order = sorted(nodes)
     idx = [graph.index(v) for v in order]
-    sub = graph.weights[np.ix_(idx, idx)].copy()
-    np.fill_diagonal(sub, 0.0)
-    return order, sub
+    return order, graph.weights[np.ix_(idx, idx)]
 
 
 # Below this many entries in an n x K array, whole-array products cost less

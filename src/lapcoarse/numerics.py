@@ -32,6 +32,7 @@ from .errors import (
     MatrixTooLarge,
     NonFiniteMatrix,
     NotSymmetrizable,
+    ShapeMismatch,
     SingularMatrix,
 )
 
@@ -79,7 +80,7 @@ def require(error: type[Exception], what: str, tolerance: float, residuals: dict
 def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a)
     if arr.ndim != 2:
-        raise NonFiniteMatrix(f"{name} must be 2-dimensional, got shape {arr.shape}")
+        raise ShapeMismatch(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] > SIZE_LIMIT or arr.shape[1] > SIZE_LIMIT:
         raise MatrixTooLarge(
             f"{name} has shape {arr.shape}, above the dense-kernel limit {SIZE_LIMIT}"
@@ -121,7 +122,7 @@ def _lu_factor(a: np.ndarray):
 def _square(a, name: str) -> np.ndarray:
     a = _as_matrix(a, name)
     if a.shape[0] != a.shape[1]:
-        raise NonFiniteMatrix(f"{name} must be square, got {a.shape}")
+        raise ShapeMismatch(f"{name} must be square, got {a.shape}")
     return a
 
 
@@ -257,8 +258,9 @@ def mass_symmetrize(a, masses) -> np.ndarray:
     """Return ``M^(1/2) a M^(-1/2)``; symmetric for mass-self-adjoint ``a``."""
     a = _as_matrix(a)
     s = np.sqrt(np.asarray(masses, dtype=float))
-    sym = a * (1.0 / s)[np.newaxis, :]
-    sym *= s[:, np.newaxis]
+    # rows first: a Laplacian's row is W / m_i, and sqrt(m_i) times it stays bounded
+    sym = a * s[:, np.newaxis]
+    sym /= s[np.newaxis, :]
     return sym
 
 

@@ -11,6 +11,7 @@ import lapcoarse
 import support as S
 from lapcoarse.cli import main
 from lapcoarse.errors import InvariantViolation
+from lapcoarse.graph import build_graph
 from lapcoarse.io import serialize_graph
 
 BC_EDGES = '[{"src": "b", "dst": "c"}, {"src": "c", "dst": "b"}]'
@@ -282,6 +283,18 @@ def test_violated_invariants_exit_two(triangle_files, capsys, monkeypatch):
     code = main(["coarsen", graph, "--cluster-edges", cluster, "--mode", "undirected"])
     assert code == 2
     assert "invariant violation:" in capsys.readouterr().err
+
+
+def test_overflow_inside_the_package_exits_two(tmp_path, capsys):
+    """Masses 1e300, 1e-300 and 1 are valid; the heat kernel overflows inside the package."""
+    edges = S.sym("a", "b") + S.sym("a", "c") + S.sym("b", "c")
+    graph = tmp_path / "extreme.json"
+    graph.write_text(serialize_graph(build_graph([("a", 1e300), ("b", 1e-300), ("c", 1.0)], edges)))
+    cluster = tmp_path / "bc.json"
+    cluster.write_text(BC_EDGES)
+    code = main(["heat", str(graph), "--cluster-edges", str(cluster), "--mode", "undirected"])
+    assert code == 2
+    assert "invariant violation: matrix contains NaN or Inf" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

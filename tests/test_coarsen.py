@@ -235,15 +235,15 @@ def test_structural_invariants_on_random_directed_fixtures():
             assert off.max(initial=0.0) <= 1e-12 * scale
 
 
-def aggregate_edges_by_loop(labels, aggregate):
-    """Reference edge list: every off-diagonal entry above the noise floor."""
+def aggregate_edges_by_loop(aggregate):
+    """Reference weights: every entry above the noise floor, the others zero."""
     tol = 1e-12 * max(1.0, float(np.abs(aggregate).max()))
-    edges = []
-    for r in range(len(labels)):
-        for s in range(len(labels)):
-            if r != s and float(aggregate[r, s]) > tol:
-                edges.append((labels[s], labels[r], float(aggregate[r, s])))
-    return edges
+    weights = np.zeros_like(aggregate)
+    for r in range(aggregate.shape[0]):
+        for s in range(aggregate.shape[1]):
+            if float(aggregate[r, s]) > tol:
+                weights[r, s] = aggregate[r, s]
+    return weights
 
 
 def test_aggregated_edges_match_the_entrywise_loop(monkeypatch):
@@ -264,8 +264,7 @@ def test_aggregated_edges_match_the_entrywise_loop(monkeypatch):
     aggregate = rng.uniform(0.0, 2.0, size=(6, 6))
     aggregate[aggregate < 0.7] = 0.0
     aggregate[0, 1] = 1e-13
-    labels = list("abcdef")
-    assert _aggregate_edges(labels, aggregate) == aggregate_edges_by_loop(labels, aggregate)
+    assert np.array_equal(_aggregate_edges(aggregate), aggregate_edges_by_loop(aggregate))
 
 
 @pytest.mark.parametrize("k", [120, 400])
@@ -333,7 +332,7 @@ def _cross_check_gate(field):
         (lambda: _cross_check_gate("identity"), ReductionMismatch),
         (lambda: _cross_check_gate("mass"), ReductionMismatch),
         (
-            lambda: _aggregate_edges(["p", "q"], np.array([[0.0, np.nan], [1.0, 0.0]])),
+            lambda: _aggregate_edges(np.array([[0.0, np.nan], [1.0, 0.0]])),
             NegativeAggregateWeight,
         ),
     ],

@@ -101,3 +101,16 @@ def test_every_raise_outside_the_cli_names_a_package_error():
     assert foreign == []
     assert issubclass(errors.InvalidOption, errors.ValidationError)
     assert issubclass(errors.InvalidOption, ValueError)
+
+
+def test_only_io_builds_graphs_from_edge_lists():
+    """Inside the package only ``io`` calls ``build_graph``: derived graphs come from arrays."""
+    callers = []
+    for path in sorted(Path(lapcoarse.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "build_graph":
+                    callers.append(f"{path.name}:{node.lineno}")
+    assert callers and {caller.split(":")[0] for caller in callers} == {"io.py"}

@@ -14,6 +14,7 @@ from lapcoarse.errors import (
     UnknownEndpoint,
 )
 from lapcoarse.graph import (
+    Graph,
     build_graph,
     degrees,
     drop_edges,
@@ -77,6 +78,28 @@ def test_construction_rejects_bad_input():
         build_graph([])
     with pytest.raises(NonPositiveWeight):
         from_weight_matrix(("a", "b"), [1.0, 1.0], [[0.0, -1.0], [0.0, 0.0]])
+
+
+def test_graph_copies_its_arrays_and_drops_self_loops():
+    masses = np.array([1.0, 2.0])
+    weights = np.array([[5.0, 1.0], [2.0, 0.0]])
+    g = Graph(("a", "b"), masses, weights)
+    assert g.weights.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    assert not g.masses.flags.writeable and not g.weights.flags.writeable
+    # the caller's arrays stay writable and unchanged
+    assert masses.flags.writeable and weights.flags.writeable
+    assert masses.tolist() == [1.0, 2.0] and weights.tolist() == [[5.0, 1.0], [2.0, 0.0]]
+    masses[0] = 9.0
+    assert g.masses.tolist() == [1.0, 2.0]
+
+
+def test_self_loops_cancel_from_both_laplacians():
+    nodes = [("a", 1.0), ("b", 1.0)]
+    edges = [("a", "b", 1.0), ("b", "a", 1.0)]
+    g = build_graph(nodes, [("a", "a", 1e17)] + edges)
+    assert g == build_graph(nodes, edges)
+    for kind in ("in", "out"):
+        assert laplacian(g, kind).tolist() == [[1.0, -1.0], [-1.0, 1.0]]
 
 
 # -- Laplacians ----------------------------------------------------------------

@@ -14,7 +14,9 @@ from lapcoarse.errors import (
     NotSymmetrizable,
     SingularMatrix,
 )
+from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.graph import build_graph, laplacian
+from lapcoarse.harness import sweep
 from lapcoarse.numerics import (
     eigvals,
     inverse,
@@ -256,6 +258,22 @@ def test_mass_symmetrization_is_a_similarity_transform():
     sym = mass_symmetrize(a, masses)
     assert np.allclose(sym, [[2.0, -2.0], [-2.0, 2.0]], atol=1e-14)
     assert np.allclose(sorted(np.linalg.eigvals(sym).real), sorted(eigvals(a).real))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mass_symmetrization_of_extreme_masses_stays_finite():
+    """Row i of a Laplacian is W / m_i: scaled by sqrt(m_i) first, no step overflows."""
+    masses = np.array([1e300, 1e-300, 1.0])
+    g = build_graph(list(zip("abc", masses)), S.sym("a", "b") + S.sym("a", "c") + S.sym("b", "c"))
+    s = np.sqrt(masses)
+    want = -1.0 / (s[:, None] * s[None, :])
+    np.fill_diagonal(want, 2.0 / masses)
+    assert np.allclose(mass_symmetrize(laplacian(g, "in"), g.masses), want, rtol=1e-15, atol=0.0)
+    for mode in ("undirected", "in", "out"):
+        kind = "undirected" if mode == "undirected" else "directed"
+        cs = build_cluster_set(g, S.TRIANGLE_CLUSTER, kind)
+        with pytest.raises(SingularMatrix):
+            sweep(g, cs, mode, [1e1, 1e2, 1e3])
 
 
 # -- spectral gap -------------------------------------------------------------------
