@@ -14,7 +14,9 @@ nearly decomposable structure of Courtois (1977).  One cluster-block
 engine, built once per call, holds the p x p blocks L_cc and A_cc, the
 diagonal of L and the elimination of the outside block of L - z; per
 beta it forms only L_cc + (beta - 1) A_cc and the Schur complement, and
-guards z by the diagonal alone.  ``sweep`` and ``resolvent_diff`` run on
+guards z by the diagonal alone.  A diagonal bound that clears z also
+proves the inverses nonsingular, so small ones skip the pivot gate and
+scipy (``numerics.inverse``).  ``sweep`` and ``resolvent_diff`` run on
 it; each difference is still the dense norm of the whole resolvent
 difference.
 
@@ -75,7 +77,7 @@ def _multiplier(value: float) -> float:
     return float(value)
 
 
-def _clearance(centres: np.ndarray, z: complex) -> float:
+def _clearance(centres: np.ndarray, z: complex, n: int | None = None) -> float:
     """Lower bound on the distance from ``z`` to the spectrum of a Laplacian with diagonal c.
 
     Off the diagonal, ``L + (beta - 1) A``, the reduced Laplacian and the
@@ -84,17 +86,26 @@ def _clearance(centres: np.ndarray, z: complex) -> float:
     are ``D(c_i, c_i)``, at least ``|c_i - z| - c_i`` from z.  In the computed
     matrix a radius is within about ``(n + 4) eps c_i`` of its centre, which
     the slack ``2 n eps (2 max c + |z|)`` covers for n >= 2 (1 x 1 has no radius).
+    ``n`` is the length of the rows the centres were summed over: the order
+    of the Laplacian (the default, ``len(centres)``), or larger when the
+    centres are those of a principal block.
+
+    A positive bound also makes ``L - z`` strictly diagonally dominant, so
+    it and its principal blocks and Schur complements are nonsingular.
     """
+    n = len(centres) if n is None else n
     bound = float((np.abs(centres - z) - centres).min(initial=np.inf))
-    return bound - 2 * len(centres) * EPS * (2 * centres.max(initial=0.0) + abs(z))
+    return bound - 2 * n * EPS * (2 * centres.max(initial=0.0) + abs(z))
 
 
-def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) -> None:
+def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) -> bool:
     """Raise ZOnSpectrumAxis when ``z`` is not finite or comes near the spectrum.
 
     ``z`` must keep ``TOL_Z_CLEARANCE`` from the nonnegative real axis and from
     every eigenvalue of ``matrix()``, a Laplacian with diagonal ``centres``;
     its eigenvalues are computed only if ``_clearance`` does not clear ``z``.
+    Returns whether ``_clearance`` cleared ``z``, which certifies the inverse
+    of ``matrix() - z`` and of its Schur complements.
     """
     zc = complex(z)
     if not np.isfinite(zc):
@@ -103,20 +114,21 @@ def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) 
     if axis_dist < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} lies on the nonnegative real axis")
     if _clearance(centres, zc) >= TOL_Z_CLEARANCE:
-        return
+        return True
     clearance = float(np.abs(eigvals(matrix()) - zc).min())
     if clearance < TOL_Z_CLEARANCE:
         raise ZOnSpectrumAxis(f"z = {z!r} is within {clearance:.3e} of the spectrum")
+    return False
 
 
 def _resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
-    _guard_z(z, matrix.diagonal(), lambda: matrix)
-    return inverse(matrix - z * np.eye(matrix.shape[0]))
+    certified = _guard_z(z, matrix.diagonal(), lambda: matrix)
+    return inverse(matrix - z * np.eye(matrix.shape[0]), certified)
 
 
 def _eliminate_outside(
     matrix: np.ndarray, p: int, z: complex
-) -> Callable[[np.ndarray], np.ndarray]:
+) -> Callable[[np.ndarray, bool], np.ndarray]:
     """Resolvents of matrices that agree with ``matrix`` off its leading p x p block.
 
     Split ``matrix - z`` at ``p`` as ``[[A, B], [C, D]]``.  ``D^-1``,
@@ -126,21 +138,25 @@ def _eliminate_outside(
 
         [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
 
+    ``matrix`` is a Laplacian, so ``D``, a principal block, is certified by
+    the diagonal bound on its own rows; the returned function takes whether
+    the whole matrix minus z is certified, which carries over to ``S``.
     Raises SingularMatrix when ``D`` fails the pivot gate, and the
     returned function does when ``S`` does.
     """
     n = matrix.shape[0]
-    d_inv = inverse(matrix[p:, p:] - z * np.eye(n - p))
+    d_certified = _clearance(matrix.diagonal()[p:], z, n) >= TOL_Z_CLEARANCE
+    d_inv = inverse(matrix[p:, p:] - z * np.eye(n - p), d_certified)
     c = matrix[p:, :p].copy()  # a copy, so that ``matrix`` can be freed
     lower = -(d_inv @ c)
     right = -(matrix[:p, p:] @ d_inv)
     schur_shift = right @ c
 
-    def resolve(block: np.ndarray) -> np.ndarray:
+    def resolve(block: np.ndarray, certified: bool) -> np.ndarray:
         schur = block.astype(np.result_type(block, z))
         schur.flat[:: p + 1] -= z
         schur += schur_shift
-        s_inv = inverse(schur)
+        s_inv = inverse(schur, certified)
         out = np.empty((n, n), dtype=np.result_type(s_inv, d_inv))
         out[:p, :p] = s_inv
         np.matmul(s_inv, right, out=out[:p, p:])
@@ -192,17 +208,17 @@ def _resolvent_diffs(
         resolve = _eliminate_outside(lap, p, z)
     except SingularMatrix:
 
-        def resolve(block: np.ndarray) -> np.ndarray:
-            return inverse(whole(block) - z * np.eye(len(masses)))
+        def resolve(block: np.ndarray, certified: bool) -> np.ndarray:
+            return inverse(whole(block) - z * np.eye(len(masses)), certified)
 
     del lap
     diffs = []
     for m in multipliers:
         block = top + (m - 1.0) * result.basis.cluster_block
         centres[:p] = block.diagonal()
-        _guard_z(z, centres, lambda: whole(block))
+        certified = _guard_z(z, centres, lambda: whole(block))
         # each n x n and p x p temporary is dropped once used
-        full = resolve(block)
+        full = resolve(block, certified)
         del block
         full -= lifted
         diffs.append(weighted_opnorm(full, masses))

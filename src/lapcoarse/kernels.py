@@ -317,7 +317,8 @@ def _check_basis(
     of ``split``, which is exact because ``lap`` vanishes off the inside
     nodes and the pairing residual counts every entry off the blocks.
     """
-    scale = max(1.0, float(np.abs(lap).max(initial=0.0)))
+    # scaled before the products, which overflow on extreme masses otherwise
+    lap = lap / max(1.0, float(np.abs(lap).max(initial=0.0)))
     weighted = left * masses[:, None]
     if right.size < _BLOCKS_FROM:
         cols, sums = slice(None), unity.sum(axis=1)
@@ -326,8 +327,8 @@ def _check_basis(
         cols = split.reaches
         sums = np.concatenate([split.core(unity).sum(axis=1), split.diagonal(unity)])
     residuals = {
-        "right": float(np.abs(lap @ right[:, cols]).max(initial=0.0)) / scale,
-        "left": float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0)) / scale,
+        "right": float(np.abs(lap @ right[:, cols]).max(initial=0.0)),
+        "left": float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0)),
         "unity": float(np.abs(sums - 1.0).max(initial=0.0)),
         "pairing and off-block entries": split.pairing_residual(weighted, right),
     }

@@ -10,6 +10,17 @@ desk-scale design.
 scipy loads on the first LAPACK, BLAS or ``expm`` use, not at import:
 coarsening runs on numpy alone, and ``scipy.linalg`` takes about 0.3 s.
 
+An inverse takes one of two routes.  The pivot gate needs the LU
+factors, which only scipy's ``getrf`` returns, so an inverse is gated
+``getrf`` and ``getri`` by default.  A caller that has proved the matrix
+nonsingular, as the harness does when a Laplacian's diagonal bound
+clears z (``L - z`` is then strictly diagonally dominant, and so is every
+principal block and Schur complement of it), passes ``certified``; below
+:data:`_NUMPY_INVERSE_BELOW` rows such a matrix goes to numpy's LU solve
+against the identity, which is cheaper there (9 against 19 us at three
+rows) and needs no scipy.  So ``verify`` at the default real z on a small
+graph runs on numpy alone.
+
 The operator norm is the top singular value, taken from the Gram matrix,
 which a symmetric or Hermitian rank-k update forms in one triangle; every
 reader of it reads that triangle.  On larger matrices a Lanczos estimate
@@ -63,6 +74,12 @@ _LANCZOS_MIN_N = 100
 _LANCZOS_STEPS = 20
 _LANCZOS_SEED = 20260
 _CERTIFY_SLACK = 4
+
+# Certified inverses below this many rows go to np.linalg.inv, the others
+# to the gated getrf + getri (one BLAS thread on a Xeon: 9 against 19 us at
+# n = 3, 21 against 28 us at n = 16, parity at n = 24, and numpy 1.3 to 1.6
+# times slower from n = 48 on).
+_NUMPY_INVERSE_BELOW = 24
 
 
 def require(error: type[Exception], what: str, tolerance: float, residuals: dict) -> None:
@@ -142,16 +159,26 @@ def solve(a, b) -> np.ndarray:
     return _lapack("getrs", np.result_type(lu, b_arr))(lu, piv, b_arr)[0]
 
 
-def inverse(a) -> np.ndarray:
-    """Matrix inverse from one LU factorization (``getrf``, then ``getri``).
+def inverse(a, certified: bool = False) -> np.ndarray:
+    """Matrix inverse from one LU factorization with partial pivoting.
 
-    Raises :class:`SingularMatrix` when a pivot fails the gate of
-    :func:`_lu_factor`.
+    ``certified`` says the caller has proved ``a`` nonsingular (by strict
+    diagonal dominance, up to a diagonal similarity).  Below
+    :data:`_NUMPY_INVERSE_BELOW` rows such a matrix goes to
+    ``np.linalg.inv``, whose only failure, an exactly zero pivot, raises
+    :class:`SingularMatrix`.  Every other matrix takes ``getrf``, then
+    ``getri``, and raises :class:`SingularMatrix` when a pivot fails the
+    gate of :func:`_lu_factor`.
     """
     a = _square(a, "matrix")
     n = a.shape[0]
     if n == 0:
         return np.zeros_like(a)
+    if certified and n < _NUMPY_INVERSE_BELOW:
+        try:
+            return np.linalg.inv(a)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMatrix(f"certified matrix is singular: {exc}") from exc
     lu, piv = _lu_factor(a)
     lwork = int(_lapack("getri_lwork", lu.dtype)(n)[0].real)
     inv, _ = _lapack("getri", lu.dtype)(lu, piv, lwork=lwork, overwrite_lu=True)

@@ -67,6 +67,9 @@ HOSTILE = {
     ),
     "masses 1e300, 1e-300, 1": (
         [("a", 1e300), ("b", 1e-300), ("c", 1.0)], TRIANGLE_EDGES, S.TRIANGLE_CLUSTER),
+    # the out-kind basis check once overflowed in lap @ right here
+    "masses 1, 1e-300, 1e-300": (
+        [("a", 1.0), ("b", 1e-300), ("c", 1e-300)], TRIANGLE_EDGES, S.TRIANGLE_CLUSTER),
 }
 LOOPS = sorted(family for family in HOSTILE if "loop" in family)
 

@@ -318,11 +318,13 @@ for argv in (
     ["kernels", graph, *edges],
     ["coarsen", graph, *edges, "--mode", "undirected"],
     ["coarsen", graph, *edges, "--mode", "in"],
+    *(["verify", graph, *edges, "--mode", mode, "--format", form]
+      for mode in ("undirected", "in", "out") for form in ("json", "csv")),
 ):
     assert main(argv) == 0
-    assert "scipy.linalg" not in sys.modules, argv[0]
-assert main(["verify", graph, *edges, "--mode", "undirected"]) == 0
-assert "scipy.linalg" in sys.modules, "verify"
+    assert "scipy.linalg" not in sys.modules, argv
+assert main(["heat", graph, *edges, "--mode", "undirected"]) == 0
+assert "scipy.linalg" in sys.modules, "heat"
 """
 
 

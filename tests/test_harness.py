@@ -19,7 +19,7 @@ from lapcoarse.errors import (
     SingularMatrix,
     ZOnSpectrumAxis,
 )
-from lapcoarse.graph import build_graph, laplacian
+from lapcoarse.graph import build_graph, is_undirected, laplacian
 from lapcoarse.harness import (
     _clearance,
     _guard_z,
@@ -645,13 +645,109 @@ def test_resolvent_diff_and_gap_check_invert_no_whole_matrix(mode, monkeypatch):
     harness = importlib.import_module("lapcoarse.harness")
     sizes = []
     original = harness.inverse
-    monkeypatch.setattr(harness, "inverse", lambda a: sizes.append(len(a)) or original(a))
+    monkeypatch.setattr(
+        harness, "inverse", lambda a, certified: sizes.append(len(a)) or original(a, certified)
+    )
     g, pairs = chain_with_cluster_head(130, 50)
     cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
     assert 0 < len(cs.cluster_nodes) < g.n
     resolvent_diff(g, cs, mode, 1e3, -1.0 + 0.5j)
     gap_bound_check(g, cs, mode, 1e3)
     assert sizes and max(sizes) < g.n
+
+
+# -- the two inverse routes --------------------------------------------------------
+
+
+def route_cases():
+    """(label, graph, cluster pairs): small fixtures, every inverse below the crossover."""
+    path, path_pairs = S.alternating_path(3)
+    return [
+        ("triangle", S.triangle(), S.TRIANGLE_CLUSTER),
+        ("heavier triangle", S.heavier_triangle(), S.TRIANGLE_CLUSTER),
+        ("hub pair", S.hub_pair(), S.HUB_PAIR_CLUSTER),
+        ("braided chain", S.braided_chain(), [("a", "b"), ("b", "c")]),
+        ("clique", S.clique(6), S.sym_pairs("v00", "v01")),
+        ("alternating path", path, path_pairs),
+    ]
+
+
+def harness_answers(graph, pairs, z):
+    """sweep, resolvent_diff and gap_bound_check in each mode the graph allows."""
+    modes = ("undirected", "in", "out") if is_undirected(graph) else ("in", "out")
+    out = {}
+    for mode in modes:
+        cs = build_cluster_set(graph, pairs, "undirected" if mode == "undirected" else "directed")
+        out[f"sweep {mode}"] = sweep(graph, cs, mode, LADDER, z=z).diffs
+        out[f"resolvent_diff {mode}"] = (resolvent_diff(graph, cs, mode, 1e3, z),)
+        try:
+            report = gap_bound_check(graph, cs, mode, 1e3, z)
+        except NotSymmetrizable:
+            out[f"gap_bound_check {mode}"] = ()
+        else:
+            out[f"gap_bound_check {mode}"] = (report.distance, report.gap, report.full_diff)
+    return out
+
+
+def spy_gate(monkeypatch):
+    """Sizes of the matrices that reach the pivot gate, in call order."""
+    numerics = importlib.import_module("lapcoarse.numerics")
+    sizes = []
+    original = numerics._lu_factor
+    monkeypatch.setattr(numerics, "_lu_factor", lambda a: sizes.append(len(a)) or original(a))
+    return sizes
+
+
+@pytest.mark.parametrize("z", [-1.0, -1.0 + 0.5j], ids=repr)
+def test_the_numpy_route_agrees_with_the_gated_route(z, monkeypatch):
+    """At these z the diagonal bound certifies every matrix inverted, and all
+    are small, so none meets the gate; with the crossover at 0, all do."""
+    numerics = importlib.import_module("lapcoarse.numerics")
+    for label, g, pairs in route_cases():
+        gated = spy_gate(monkeypatch)
+        default = harness_answers(g, pairs, z)
+        assert gated == [], label
+        monkeypatch.setattr(numerics, "_NUMPY_INVERSE_BELOW", 0)
+        forced = harness_answers(g, pairs, z)
+        monkeypatch.undo()
+        assert gated, label
+        assert default.keys() == forced.keys(), label
+        for name, values in default.items():
+            for got, want in zip(values, forced[name], strict=True):
+                assert abs(got - want) <= S.TOL_ORACLE * want, (label, name, got, want)
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_every_inverse_the_diagonal_bound_misses_meets_the_pivot_gate(mode, monkeypatch):
+    """z inside a Gershgorin disk of every matrix inverted: nothing is certified.
+
+    The gap check runs at beta = 1e6, where the cluster block's centres
+    pass the undirected singular-outside z = 1e5.  The singular-outside
+    block fails the gate, and the engine falls back to the whole matrix.
+    """
+    harness = importlib.import_module("lapcoarse.harness")
+    cases = [
+        ("triangle", S.triangle(), S.TRIANGLE_CLUSTER, 3.0 + 0.1j),
+        ("heavier triangle", S.heavier_triangle(), S.TRIANGLE_CLUSTER, 0.5 + 2.0j),
+        ("singular-outside", *singular_outside_block(mode)),
+    ]
+    original = harness.inverse
+    for label, g, pairs, z in cases:
+        cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
+        inverses = []
+        monkeypatch.setattr(
+            harness, "inverse",
+            lambda a, certified: inverses.append(len(a)) or original(a, certified),
+        )
+        gated = spy_gate(monkeypatch)
+        outcomes = spy_elimination(monkeypatch)
+        sweep(g, cs, mode, LADDER, z=z)
+        resolvent_diff(g, cs, mode, 1e3, z)
+        gap_bound_check(g, cs, mode, 1e6, z)
+        monkeypatch.undo()
+        assert inverses and gated == inverses, label
+        want = "whole" if label == "singular-outside" else "eliminated"
+        assert outcomes == [want, want, want], label
 
 
 @pytest.mark.parametrize("call", ["resolvent_diff", "heat_diff", "sweep"])

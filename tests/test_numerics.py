@@ -111,6 +111,32 @@ def test_inverse_round_trips():
     assert np.abs(inverse(a) @ a - np.eye(5)).max() <= 1e-12
 
 
+def test_only_a_small_certified_inverse_skips_the_pivot_gate(monkeypatch):
+    rng = np.random.default_rng(79)
+    gated = []
+    original = numerics._lu_factor
+    monkeypatch.setattr(numerics, "_lu_factor", lambda a: gated.append(len(a)) or original(a))
+    below = numerics._NUMPY_INVERSE_BELOW
+    for n in (1, 2, below - 1, below, 2 * below):
+        for shift in (0.0, 0.5j):
+            a = rng.normal(size=(n, n)) + (n + shift) * np.eye(n)
+            plain = inverse(a)
+            assert gated == [n]
+            gated.clear()
+            got = inverse(a, certified=True)
+            if n < below:
+                assert gated == [] and np.array_equal(got, np.linalg.inv(a)), n
+            else:
+                assert gated == [n] and np.array_equal(got, plain), n
+            gated.clear()
+            assert np.abs(got @ a - np.eye(n)).max() <= 1e-12
+
+
+def test_a_certified_singular_matrix_raises_singular_matrix():
+    with pytest.raises(SingularMatrix, match="certified matrix is singular"):
+        inverse(np.zeros((2, 2)), certified=True)
+
+
 def test_non_finite_and_oversized_inputs_are_rejected():
     bad = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(NonFiniteMatrix):
