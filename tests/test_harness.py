@@ -640,14 +640,20 @@ def test_complex_sweep_diffs_equal_the_general_product_gram_values():
             assert abs(got - value) <= S.TOL_ORACLE * value, mode
 
 
-@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
-def test_resolvent_diff_and_gap_check_invert_no_whole_matrix(mode, monkeypatch):
+def spy_inverse(monkeypatch):
+    """Sizes of the matrices the harness inverts, in call order."""
     harness = importlib.import_module("lapcoarse.harness")
     sizes = []
     original = harness.inverse
     monkeypatch.setattr(
         harness, "inverse", lambda a, certified: sizes.append(len(a)) or original(a, certified)
     )
+    return sizes
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_resolvent_diff_and_gap_check_invert_no_whole_matrix(mode, monkeypatch):
+    sizes = spy_inverse(monkeypatch)
     g, pairs = chain_with_cluster_head(130, 50)
     cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
     assert 0 < len(cs.cluster_nodes) < g.n
@@ -725,20 +731,14 @@ def test_every_inverse_the_diagonal_bound_misses_meets_the_pivot_gate(mode, monk
     pass the undirected singular-outside z = 1e5.  The singular-outside
     block fails the gate, and the engine falls back to the whole matrix.
     """
-    harness = importlib.import_module("lapcoarse.harness")
     cases = [
         ("triangle", S.triangle(), S.TRIANGLE_CLUSTER, 3.0 + 0.1j),
         ("heavier triangle", S.heavier_triangle(), S.TRIANGLE_CLUSTER, 0.5 + 2.0j),
         ("singular-outside", *singular_outside_block(mode)),
     ]
-    original = harness.inverse
     for label, g, pairs, z in cases:
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
-        inverses = []
-        monkeypatch.setattr(
-            harness, "inverse",
-            lambda a, certified: inverses.append(len(a)) or original(a, certified),
-        )
+        inverses = spy_inverse(monkeypatch)
         gated = spy_gate(monkeypatch)
         outcomes = spy_elimination(monkeypatch)
         sweep(g, cs, mode, LADDER, z=z)
