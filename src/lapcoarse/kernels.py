@@ -36,9 +36,16 @@ chain tree theorem it spans the left null space of the cabal's restricted
 matrix diag(in-weights) - W, and the directed builders compute it as that
 null vector by GTH elimination (Grassmann, Taksar and Heyman 1985): O(k^3)
 operations on k cabal nodes, free of subtraction and so componentwise
-accurate at any weight scale.  The tests check it against two slower
-routes kept in ``tests/oracles.py``: explicit enumeration of spanning
-out-trees and diagonal cofactors of the reach-restricted matrix.
+accurate at any weight scale.  Nodes are censored last to first in panels
+of 32, as in the block GTH of Stewart (1994): each node is first brought
+up to date with the nodes of its panel censored before it, and one matrix
+product per panel updates all earlier nodes.  Every term stays a sum of
+products of nonnegative numbers, and BLAS does most of the work: on one
+BLAS thread of a 2-CPU machine a 400-node cabal took 6 to 10 ms, against
+62 to 81 ms for one rank-1 update per node.  The tests check it against
+three slower routes kept in ``tests/oracles.py``: that node-by-node
+elimination, explicit enumeration of spanning out-trees and diagonal
+cofactors of the reach-restricted matrix.
 
 The Riesz projector onto the kernel multiplies out the biorthogonal pairs,
 P = sum_R (right_R)(left_R * m)^T.  It annihilates the cluster Laplacian on
@@ -264,18 +271,39 @@ def _one_node_columns(
     return [col for col, _ in single], [row for _, row in single]
 
 
+# Nodes censored per panel of the GTH elimination.  On one BLAS thread,
+# widths 24 to 64 took about the same time on 100- to 400-node cabals, and
+# 8 and 16 up to 1.5 times longer: narrow panels leave more of the work to
+# the per-node matrix-vector products, which wide panels make longer.
+_GTH_PANEL = 32
+
+
 def _gth_null_vector(W: np.ndarray) -> np.ndarray:
     """Left null vector of diag(W.sum(axis=1)) - W, with entry 0 equal to 1.
 
     ``W`` holds the nonnegative off-diagonal weights of a strongly
-    connected subgraph.  Each backward step censors the last remaining
-    node with one rank-1 update; the exit sum is taken from the weights
-    instead of from a diagonal, so no step subtracts.
+    connected subgraph.  The backward pass censors nodes from last to
+    first in panels of ``_GTH_PANEL``.  Inside a panel, a node's row and
+    column are first brought up to date with the panel nodes already
+    censored (two matrix-vector products, skipped for the panel's first
+    node), and its column is divided by its exit sum; after the panel, one
+    product applies it to every earlier row and column.  Each entry gains
+    the same nonnegative products as in censoring one node at a time with
+    a rank-1 update, summed in another order, and each exit sum is taken
+    from the weights instead of from a diagonal, so no step subtracts.
+    The forward pass then reads the null vector off column by column.
     """
     A = W.copy()
-    for j in range(A.shape[0] - 1, 0, -1):
-        A[:j, j] /= A[j, :j].sum()
-        A[:j, :j] += np.outer(A[:j, j], A[j, :j])
+    for hi in range(A.shape[0], 1, -_GTH_PANEL):
+        lo = max(hi - _GTH_PANEL, 1)
+        for j in range(hi - 1, lo - 1, -1):
+            if j + 1 < hi:
+                done = slice(j + 1, hi)
+                A[j, :j] += A[j, done] @ A[done, :j]
+                A[:j, j] += A[:j, done] @ A[done, j]
+            A[:j, j] /= A[j, :j].sum()
+        if lo > 1:
+            A[:lo, :lo] += A[:lo, lo:hi] @ A[lo:hi, :lo]
     omega = np.zeros(A.shape[0])
     omega[0] = 1.0
     for j in range(1, A.shape[0]):

@@ -1,10 +1,11 @@
 """Slow or independent routes that the tests check the package against.
 
 The package needs none of these.  Each recomputes something the package
-computes another way (spanning-tree weights by enumeration and cofactors,
-the Riesz projector by a contour integral, null spaces by SVD, components
-by union-find, Laplacians by the plain three-pass formula), or builds an
-input the package never forms itself (scaled and matrix-built graphs).
+computes another way (spanning-tree weights by enumeration, cofactors and
+one-node-at-a-time GTH elimination, the Riesz projector by a contour
+integral, null spaces by SVD, components by union-find, Laplacians by the
+plain three-pass formula), or builds an input the package never forms
+itself (scaled and matrix-built graphs).
 """
 
 from __future__ import annotations
@@ -224,6 +225,25 @@ def weight_vector_matrix(graph: Graph, nodes: Iterable[str]) -> dict[str, float]
         minor = B[np.ix_(keep, keep)]
         out[order[r]] = float(np.linalg.det(minor)) if keep else 1.0
     return out
+
+
+def gth_null_vector_sequential(W: np.ndarray) -> np.ndarray:
+    """Left null vector of diag(W.sum(axis=1)) - W, with entry 0 equal to 1.
+
+    GTH elimination censoring one node at a time, last to first, each with
+    a rank-1 update of all earlier rows and columns: the order the package
+    blocks into panels, summed one product at a time.  O(k^3) and free of
+    subtraction, but a k x k update per node.
+    """
+    A = W.copy()
+    for j in range(A.shape[0] - 1, 0, -1):
+        A[:j, j] /= A[j, :j].sum()
+        A[:j, :j] += np.outer(A[:j, j], A[j, :j])
+    omega = np.zeros(A.shape[0])
+    omega[0] = 1.0
+    for j in range(1, A.shape[0]):
+        omega[j] = omega[:j] @ A[:j, j]
+    return omega
 
 
 # -- kernels and projectors ----------------------------------------------------------

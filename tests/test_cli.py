@@ -304,22 +304,25 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.startswith("lapcoarse ")
 
 
-# argv: graph file, cluster file.  Run in a fresh interpreter, since the
-# test process has scipy loaded already.
+# argv: the triangle's graph and cluster files, then the long cycle's.  Run
+# in a fresh interpreter, since the test process has scipy loaded already.
 SCIPY_ON_FIRST_USE = """
 import sys
 import lapcoarse
 from lapcoarse.cli import main
 
 graph, edges = sys.argv[1], ["--cluster-edges", sys.argv[2]]
+cycle, cycle_edges = sys.argv[3], ["--cluster-edges", sys.argv[4]]
 assert "scipy.linalg" not in sys.modules, "import lapcoarse"
 for argv in (
     ["analyze", graph],
     ["kernels", graph, *edges],
-    ["coarsen", graph, *edges, "--mode", "undirected"],
-    ["coarsen", graph, *edges, "--mode", "in"],
+    *(["coarsen", graph, *edges, "--mode", mode] for mode in ("undirected", "in", "out")),
     *(["verify", graph, *edges, "--mode", mode, "--format", form]
       for mode in ("undirected", "in", "out") for form in ("json", "csv")),
+    # its cabal spans two GTH panels
+    *(["kernels", cycle, *cycle_edges, "--kind", kind] for kind in ("in", "out")),
+    *(["coarsen", cycle, *cycle_edges, "--mode", mode] for mode in ("in", "out")),
 ):
     assert main(argv) == 0
     assert "scipy.linalg" not in sys.modules, argv
@@ -328,11 +331,25 @@ assert "scipy.linalg" in sys.modules, "heat"
 """
 
 
-def test_scipy_loads_only_for_commands_that_call_it(triangle_files):
+@pytest.fixture
+def long_cycle_files(tmp_path):
+    """A directed 40-cycle with unequal weights, its cluster, and a pendant node."""
+    names = [f"c{i:02d}" for i in range(40)]
+    cycle = [(names[i], names[(i + 1) % 40], float(i + 1)) for i in range(40)]
+    g = build_graph([(v, 1.0) for v in names + ["x"]],
+                    cycle + [("x", "c00", 1.0), ("c00", "x", 1.0)])
+    graph = tmp_path / "long_cycle.json"
+    graph.write_text(serialize_graph(g))
+    edges = tmp_path / "long_cycle_cluster.json"
+    edges.write_text(json.dumps([{"src": s, "dst": d} for s, d, _ in cycle]))
+    return str(graph), str(edges)
+
+
+def test_scipy_loads_only_for_commands_that_call_it(triangle_files, long_cycle_files):
     src = os.path.dirname(os.path.dirname(lapcoarse.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", SCIPY_ON_FIRST_USE, *triangle_files],
+        [sys.executable, "-c", SCIPY_ON_FIRST_USE, *triangle_files, *long_cycle_files],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import support as S
-from support import TOL_WEIGHT_VECTOR
+from support import TOL_GTH_ORDER, TOL_WEIGHT_VECTOR
 from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ClusterViolation
 from lapcoarse.graph import build_graph, laplacian, transpose
@@ -13,6 +13,7 @@ from lapcoarse.kernels import kernels_in, kernels_out, kernels_undirected
 from lapcoarse.numerics import solve
 from oracles import (
     ReachTooLargeForEnumeration,
+    gth_null_vector_sequential,
     left_kernel_in,
     principal_angle_gap,
     right_kernel_in,
@@ -136,9 +137,19 @@ def wide_weight_graphs(count: int, seed: int):
     return graphs
 
 
-@pytest.mark.parametrize("kind", ["in", "out"])
-def test_tree_vectors_match_enumeration_componentwise(kind):
+# widths below the default put the boundaries between GTH panels inside the
+# few-node reaches that enumeration can check
+NARROW_PANELS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("kind, panel", [
+    pytest.param(kind, panel, id=kind if panel is None else f"{kind}-panel{panel}")
+    for panel in [None, *NARROW_PANELS] for kind in ("in", "out")
+])
+def test_tree_vectors_match_enumeration_componentwise(kind, panel, monkeypatch):
     """Kernel tree vectors equal normalized enumerated weights, entry by entry."""
+    if panel is not None:
+        monkeypatch.setattr(kernels, "_GTH_PANEL", panel)
     graphs = [S.branching_chain(), S.braided_chain(), S.hub_pair(), S.clique(5)]
     for g in graphs + wide_weight_graphs(60, 11):
         cs = build_cluster_set(g, list(g.edge_pairs()), "directed")
@@ -157,6 +168,32 @@ def test_tree_vectors_match_enumeration_componentwise(kind):
             for v in g.nodes:
                 want = brute.get(v, 0.0) / total
                 assert abs(got[g.index(v)] - want) <= TOL_WEIGHT_VECTOR * want
+
+
+def strongly_connected_weights(rng, k: int, density: float) -> np.ndarray:
+    """Weights of a cycle through all k nodes in random order, plus each other
+    edge with probability ``density``, log-uniform on 1e-8..1e8."""
+    order = rng.permutation(k)
+    W = np.zeros((k, k))
+    W[np.roll(order, -1), order] = 1.0
+    W[rng.random((k, k)) < density] = 1.0
+    np.fill_diagonal(W, 0.0)
+    return W * 10.0 ** rng.uniform(-8, 8, (k, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 31, 32, 33, 64, 65, 150, 400])
+def test_panel_gth_matches_the_sequential_loop_componentwise(k, monkeypatch):
+    """Panels change only the order in which the nonnegative products are summed."""
+    rng = np.random.default_rng(k)
+    for density in (2.0 / k, 0.5):
+        W = strongly_connected_weights(rng, k, density)
+        want = gth_null_vector_sequential(W)
+        got = kernels._gth_null_vector(W)
+        assert np.all(np.abs(got - want) <= TOL_GTH_ORDER * want)
+        # one-node panels apply each censored node alone, as the loop does
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_GTH_PANEL", 1)
+            assert np.array_equal(kernels._gth_null_vector(W), want)
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
@@ -348,6 +385,12 @@ def test_one_node_reaches_fill_the_same_columns_as_the_loop():
             )
             singles += sum(len(reach.nodes) == 1 for reach in dec)
     assert singles > 100
+
+
+@pytest.mark.parametrize("panel", NARROW_PANELS)
+def test_one_node_reaches_fill_the_same_columns_at_narrow_panels(panel, monkeypatch):
+    monkeypatch.setattr(kernels, "_GTH_PANEL", panel)
+    test_one_node_reaches_fill_the_same_columns_as_the_loop()
 
 
 @pytest.mark.parametrize("build", [kernels_in, kernels_out, kernels_undirected])
