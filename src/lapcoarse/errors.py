@@ -109,6 +109,10 @@ class NotSymmetrizable(ValidationError):
     """Mass symmetrization did not produce a symmetric matrix."""
 
 
+class HeatKernelDefect(InvariantViolation):
+    """A computed heat kernel is not nonnegative with unit row sums."""
+
+
 # -- kernels / coarsen -------------------------------------------------------
 
 class SingularCommonBlock(SingularMatrix):

@@ -20,6 +20,12 @@ scipy (``numerics.inverse``).  ``sweep`` and ``resolvent_diff`` run on
 it; each difference is still the dense norm of the whole resolvent
 difference.
 
+The heat comparison exponentiates L_beta and the reduced Laplacian as
+whole matrices.  A self-adjoint one (symmetric weights) of at least
+``numerics._EIGH_HEAT_FROM`` = 100 rows goes to one certified symmetric
+eigensolve, ``numerics.symmetric_heat``; every other one, and one whose
+eigensolve is not certified, goes to scipy's ``expm``.
+
 The gap bound check measures the distance between the resolvent of the
 scaled cluster subgraph and the rank-preserving part of its kernel
 projector; for mass-symmetrizable cluster subgraphs and negative real z
@@ -40,22 +46,28 @@ from .connectivity import ClusterSet
 from .errors import (
     BetaLadderTooShort,
     ClusterViolation,
+    HeatKernelDefect,
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
     SingularMatrix,
     ZOnSpectrumAxis,
 )
-from .graph import Graph, laplacian
+from .graph import Graph, is_undirected, laplacian
 from .kernels import projector_blocks
 from .numerics import (
+    _EIGH_HEAT_FROM,
     EPS,
+    TOL_HEAT_INVARIANT,
     TOL_LEMMA_EQUALITY,
     TOL_Z_CLEARANCE,
     eigvals,
+    heat_residual,
     inverse,
     matrix_exp,
+    require,
     spectral_gap,
+    symmetric_heat,
     weighted_opnorm,
 )
 
@@ -239,6 +251,19 @@ def resolvent_diff(
     return _resolvent_diffs(_coarsening(graph, cluster_set, mode, result), [beta], z)[0]
 
 
+def _heat(lap: np.ndarray, masses: np.ndarray, t: float, self_adjoint: Callable[[], bool]):
+    """``exp(-t lap)`` by the route :func:`heat_diff` describes."""
+    if lap.shape[0] < _EIGH_HEAT_FROM or not self_adjoint():
+        return matrix_exp(lap, -t)
+    heat = symmetric_heat(lap, masses, t)
+    if heat is None:
+        with np.errstate(over="ignore", invalid="ignore"):  # the residual fails instead
+            heat = matrix_exp(lap, -t)
+        residual = {"row sums": heat_residual(heat)}
+        require(HeatKernelDefect, "heat kernel", TOL_HEAT_INVARIANT, residual)
+    return heat
+
+
 def heat_diff(
     graph: Graph,
     cluster_set: ClusterSet,
@@ -247,7 +272,17 @@ def heat_diff(
     t: float,
     result: CoarseningResult | None = None,
 ) -> float:
-    """Mass operator norm of exp(-t L_scaled) minus the lifted reduced heat kernel."""
+    """Mass operator norm of exp(-t L_scaled) minus the lifted reduced heat kernel.
+
+    Each exponential takes one of two routes.  A Laplacian of at least
+    ``numerics._EIGH_HEAT_FROM`` = 100 rows whose weights equal their
+    transpose exactly (for ``L_scaled``, the graph's and the cluster
+    subgraph's) goes to ``numerics.symmetric_heat``, one symmetric
+    eigensolve.  If that is not certified, scipy's expm answers but must
+    pass the same ``heat_residual``, or HeatKernelDefect is raised.  Every
+    other exponential, the README triangle's and every directed graph's
+    among them, is scipy's expm, unchecked.
+    """
     if not (t > 0) or not np.isfinite(t):
         raise NonPositiveTime(f"time must be positive, got {t!r}")
     beta = _multiplier(beta)
@@ -255,8 +290,11 @@ def heat_diff(
     inside = result.split.inside
     lap = laplacian(graph, result.basis.kind).copy()
     lap[inside[:, None], inside] += (beta - 1.0) * result.basis.cluster_block
-    full = matrix_exp(lap, -t)
-    full -= result.up @ matrix_exp(result.reduced_laplacian, -t) @ result.down
+    full = _heat(lap, graph.masses, t, lambda: is_undirected(graph)
+                 and is_undirected(result.cluster_set.subgraph()))
+    reduced = result.reduced
+    full -= result.up @ _heat(result.reduced_laplacian, reduced.masses, t,
+                              lambda: is_undirected(reduced)) @ result.down
     return weighted_opnorm(full, graph.masses)
 
 

@@ -8,6 +8,7 @@ arithmetic in the tests honest.
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 
 from lapcoarse import build_cluster_set, build_graph, laplacian
 from oracles import scale_edges
@@ -26,6 +27,7 @@ TOL_ORACLE = 1e-11           # harness vs the whole-matrix oracle, relative, bet
 TOL_ORACLE_STIFF = 1e-8      # the same at beta = 1e6
 TOL_BLOCKS = 1e-14           # block-form coarsening vs whole-matrix products, relative
 TOL_LU_SOLVE = 0.0           # solve vs scipy's lu_factor + lu_solve: the same LAPACK calls
+TOL_HEAT_FLOOR = 10.0        # heat kernels: absolute floor, in units of eps (1 + t ||L_beta||_inf)
 
 
 def sym_pairs(u: str, v: str):
@@ -280,6 +282,25 @@ def oracle_resolvent_diff(graph, cluster_set, result, beta: float, z):
     sigma = np.linalg.svd(shifted * s[:, None] / s[None, :], compute_uv=False)
     floor = np.finfo(float).eps * sigma[0] / sigma[-1] ** 2
     return mass_norm(full - result.up @ red @ result.down, graph.masses), floor
+
+
+def heat_floor(lap, t: float) -> float:
+    """Absolute rounding floor of a heat kernel, or of a heat difference, at time t.
+
+    The backward error ``eps ||L||`` of an eigensolve or of expm moves each
+    decay rate by about that much, so the floor grows with beta.
+    """
+    norm = float(np.abs(lap).sum(axis=1).max())
+    return TOL_HEAT_FLOOR * np.finfo(float).eps * (1.0 + t * norm)
+
+
+def oracle_heat_diff(graph, cluster_set, result, beta: float, t: float):
+    """``exp(-t L_beta) - up exp(-t L_red) down`` by scipy's expm, SVD norm, and its floor."""
+    kind = "out" if result.mode == "out" else "in"
+    lap = scaled_laplacian(graph, cluster_set, kind, beta)
+    full = scipy.linalg.expm(-t * lap)
+    lifted = result.up @ scipy.linalg.expm(-t * result.reduced_laplacian) @ result.down
+    return mass_norm(full - lifted, graph.masses), heat_floor(lap, t)
 
 
 def oracle_gap_check(graph, cluster_set, result, beta: float, z):

@@ -50,6 +50,18 @@ TRIANGLE_NODES = [("a", 1.0), ("b", 1.0), ("c", 1.0)]
 HUB_NODES = [("1", 1.0), ("2", 1.0), ("3", 1.0)]
 HUB_EDGES = list(S.hub_pair().edges())
 
+
+def cycle_with_extreme_masses(big: float, n: int = 120, k: int = 20):
+    """Symmetric unit-weight n-cycle, masses (big, 1/big, 1, ...), a k-edge cluster path.
+
+    Large enough for the symmetric eigensolve route of ``heat_diff``."""
+    names = [f"v{i:03d}" for i in range(n)]
+    masses = [big, 1.0 / big] + [1.0] * (n - 2)
+    edges = [e for i in range(n) for e in S.sym(names[i], names[(i + 1) % n])]
+    cluster = [p for i in range(k) for p in S.sym_pairs(names[i], names[i + 1])]
+    return list(zip(names, masses)), edges, cluster
+
+
 # Graphs that are valid input, as node list, edge list and cluster edges.
 HOSTILE = {
     "triangle, loop on a cluster node": (
@@ -70,8 +82,11 @@ HOSTILE = {
     # the out-kind basis check once overflowed in lap @ right here
     "masses 1, 1e-300, 1e-300": (
         [("a", 1.0), ("b", 1e-300), ("c", 1e-300)], TRIANGLE_EDGES, S.TRIANGLE_CLUSTER),
+    "120-cycle, masses 1e300, 1e-300, 1, ...": cycle_with_extreme_masses(1e300),
+    "120-cycle, masses 1e30, 1e-30, 1, ...": cycle_with_extreme_masses(1e30),
 }
 LOOPS = sorted(family for family in HOSTILE if "loop" in family)
+CYCLES = sorted(family for family in HOSTILE if family.startswith("120-cycle"))
 
 
 def without_loops(edges):
@@ -140,6 +155,22 @@ def test_self_loops_leave_every_answer_unchanged(family):
     hub = family.startswith("hub pair")
     assert errors == ({f"gap_bound_check {m}": NotSymmetrizable for m in ("in", "out")}
                       if hub else {})
+
+
+@pytest.mark.parametrize("family", CYCLES)
+def test_heat_diff_at_extreme_masses_raises_instead_of_answering(family):
+    """Neither heat route can be trusted here.  Uncertified, the eigensolve gave
+    NaN at 1e30, and at 1e300 a finite difference (0.92) from a kernel whose
+    row sums were off by up to 1.6.  scipy's expm gave NaN at 1e300; at 1e30
+    it overflowed (beta = 1e3) or gave 3.8e8 (beta = 10), where two l2(m)
+    contractions differ by at most 2."""
+    nodes, edges, cluster = HOSTILE[family]
+    graph = build_graph(nodes, edges)
+    for mode in ("undirected", "in", "out"):
+        cs = build_cluster_set(graph, cluster, "undirected" if mode == "undirected" else "directed")
+        for beta in (10.0, 1e3):
+            with pytest.raises(LapcoarseError):
+                heat_diff(graph, cs, mode, beta, 1.0)
 
 
 def test_a_reduced_label_that_names_a_node_raises_duplicate_node():

@@ -28,7 +28,7 @@ from lapcoarse.harness import (
     resolvent_diff,
     sweep,
 )
-from lapcoarse.numerics import spectral_gap, weighted_opnorm
+from lapcoarse.numerics import _EIGH_HEAT_FROM, spectral_gap, weighted_opnorm
 from oracles import scale_edges
 
 LADDER = [1e1, 1e2, 1e3, 1e4]
@@ -250,6 +250,99 @@ def test_heat_difference_is_small_at_strong_scaling():
     g = S.triangle()
     cs = S.triangle_cluster(g)
     assert heat_diff(g, cs, "undirected", 1e3, 1.0) <= 10.0 / (2 * 1e3)
+
+
+# -- the two heat routes -----------------------------------------------------------
+
+MODES = ["undirected", "in", "out"]
+
+
+def cluster_set_for(graph, pairs, mode):
+    return build_cluster_set(graph, pairs, "undirected" if mode == "undirected" else "directed")
+
+
+def spy_heat_routes(monkeypatch):
+    """(route, rows) of every exponential the harness takes, in call order."""
+    harness = importlib.import_module("lapcoarse.harness")
+    routes = []
+    eigh, expm = harness.symmetric_heat, harness.matrix_exp
+    monkeypatch.setattr(harness, "symmetric_heat",
+                        lambda lap, m, t: routes.append(("eigh", len(lap))) or eigh(lap, m, t))
+    monkeypatch.setattr(harness, "matrix_exp",
+                        lambda a, t: routes.append(("expm", len(a))) or expm(a, t))
+    return routes
+
+
+def whole_cycle(n: int = 128, weight: float = 2.0, mass: float = 0.5):
+    """Symmetric n-cycle of equal weights and masses; every edge is a cluster edge."""
+    names = [f"c{i:03d}" for i in range(n)]
+    edges = [e for i in range(n) for e in S.sym(names[i], names[(i + 1) % n], weight)]
+    graph = build_graph([(v, mass) for v in names], edges)
+    return graph, [(s, d) for s, d, _ in edges]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_heat_diff_on_a_whole_cycle_cluster_is_its_slowest_decay(mode, monkeypatch):
+    """The reduced graph is one node, so the difference is exp(-t L_beta) off the
+    constants: its norm is exp(-t lambda_1), lambda_1 = 2 beta w (1 - cos(2 pi/n)) / m."""
+    n, w, m = 128, 2.0, 0.5
+    g, pairs = whole_cycle(n, w, m)
+    cs = cluster_set_for(g, pairs, mode)
+    points = [(1e2, 1.0), (1e3, 0.05), (1e4, 0.01), (1e6, 1e-4)]
+    routes = spy_heat_routes(monkeypatch)
+    for beta, t in points:
+        want = math.exp(-2.0 * t * beta * w * (1.0 - math.cos(2.0 * math.pi / n)) / m)
+        assert 0.1 <= want <= 0.9
+        floor = S.heat_floor(S.scaled_laplacian(g, cs, "in", beta), t)
+        got = heat_diff(g, cs, mode, beta, t)
+        assert abs(got - want) <= floor, (beta, t, got, want)
+    assert routes == [("eigh", n), ("expm", 1)] * len(points)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_eigensolve_route_agrees_with_expm(mode, monkeypatch):
+    """Symmetric paths with masses in [0.5, 2].  The 130-node one's reduced graph
+    is below the crossover; the 220-node one's is not, but only the undirected
+    reduction aggregates its weights symmetrically."""
+    for n, p in ((130, 50), (220, 60)):
+        g, pairs = chain_with_cluster_head(n, p)
+        cs = cluster_set_for(g, pairs, mode)
+        result = coarsen(g, cs, mode)
+        assert not np.allclose(g.masses, g.masses[0])
+        r = result.size
+        reduced = "eigh" if (n, mode) == (220, "undirected") else "expm"
+        for beta, t in ((1e1, 1.0), (1e3, 0.1), (1e3, 1.0), (1e6, 1.0)):
+            routes = spy_heat_routes(monkeypatch)
+            got = heat_diff(g, cs, mode, beta, t, result=result)
+            monkeypatch.undo()
+            assert routes == [("eigh", n), (reduced, r)], (n, beta, t)
+            want, floor = S.oracle_heat_diff(g, cs, result, beta, t)
+            assert_matches_oracle(got, want, beta, floor, (n, t))
+
+
+def expm_cases():
+    """(label, graph, cluster pairs, modes) whose exponentials all stay on expm."""
+    g, pairs = chain_with_cluster_head(130, 50)
+    first, last = g.nodes[0], g.nodes[-1]
+    directed = build_graph(list(zip(g.nodes, g.masses)),
+                           [*((s, d, w) for s, d, w in g.edges()), (first, last, 1.0)])
+    one_way = [(s, d) for s, d in pairs if s < d]
+    small, small_pairs = chain_with_cluster_head(_EIGH_HEAT_FROM - 1, 30)
+    return [
+        ("directed", directed, pairs, ["in", "out"]),
+        ("one-orientation cluster edges", g, one_way, ["in", "out"]),
+        ("below the crossover", small, small_pairs, MODES),
+        ("triangle", S.triangle(), S.TRIANGLE_CLUSTER, MODES),
+    ]
+
+
+def test_directed_and_small_exponentials_stay_on_expm(monkeypatch):
+    for label, g, pairs, modes in expm_cases():
+        for mode in modes:
+            routes = spy_heat_routes(monkeypatch)
+            heat_diff(g, cluster_set_for(g, pairs, mode), mode, 1e3, 1.0)
+            monkeypatch.undo()
+            assert [route for route, _ in routes] == ["expm", "expm"], (label, mode)
 
 
 # -- gap bound check -----------------------------------------------------------------

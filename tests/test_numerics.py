@@ -18,13 +18,16 @@ from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.graph import build_graph, laplacian
 from lapcoarse.harness import sweep
 from lapcoarse.numerics import (
+    TOL_HEAT_INVARIANT,
     eigvals,
+    heat_residual,
     inverse,
     mass_symmetrize,
     matrix_exp,
     require,
     solve,
     spectral_gap,
+    symmetric_heat,
     weighted_opnorm,
 )
 from oracles import (
@@ -363,6 +366,50 @@ def test_heat_semigroup_preserves_constants():
         flow = matrix_exp(-laplacian(g, "in"), 1.7)
         ones_errors.append(np.abs(flow @ np.ones(g.n) - 1.0).max())
     assert max(ones_errors) <= 1e-10
+
+
+def self_adjoint_laplacians(seed: int, count: int = 20):
+    """(kind, graph, Laplacian) of random undirected graphs with masses in [0.5, 2]."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        g = S.random_graph(rng, undirected=True)
+        kind = ("in", "out")[k % 2]
+        yield kind, g, laplacian(g, kind)
+
+
+def test_symmetric_heat_matches_expm_on_self_adjoint_laplacians():
+    for kind, g, lap in self_adjoint_laplacians(90):
+        for t in (0.1, 1.7):
+            heat = symmetric_heat(lap, g.masses, t)
+            want = matrix_exp(lap, -t)
+            assert heat is not None, kind
+            assert np.abs(heat - want).max() <= S.heat_floor(lap, t), kind
+            assert heat_residual(heat) <= TOL_HEAT_INVARIANT
+
+
+def test_symmetric_heat_rejects_a_wrong_eigenvalue_the_constants_do_not_see(monkeypatch):
+    """Negating the top eigenvalue of S keeps exp(-tS) sqrt(m) = sqrt(m), since
+    sqrt(m) spans the eigenvector of 0; only |exp(-tS)| sqrt(m) shows it."""
+    eigh = np.linalg.eigh
+
+    def wrong_top(a, UPLO="L"):
+        lam, q = eigh(a, UPLO=UPLO)
+        lam[-1] = -lam[-1]
+        return lam, q
+
+    for kind, g, lap in self_adjoint_laplacians(91, count=6):
+        t = 5.0 / float(np.linalg.eigvalsh(mass_symmetrize(lap, g.masses), UPLO="L")[-1])
+        assert symmetric_heat(lap, g.masses, t) is not None
+        monkeypatch.setattr(np.linalg, "eigh", wrong_top)
+        heat = symmetric_heat(lap, g.masses, t)
+        monkeypatch.undo()
+        assert heat is None, kind
+
+
+def test_heat_residual_fails_on_nan_and_on_a_kernel_that_loses_mass():
+    assert heat_residual(np.eye(3)) == 0.0
+    assert not heat_residual(np.full((3, 3), np.nan)) <= TOL_HEAT_INVARIANT
+    assert heat_residual(np.eye(3) * (1.0 - 1e-6)) > TOL_HEAT_INVARIANT
 
 
 # -- eigenvalues ----------------------------------------------------------------------
