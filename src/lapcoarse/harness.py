@@ -7,18 +7,29 @@ transfer operators, at rate 1/beta.  The transfer operators themselves do
 not depend on beta, so each harness call coarsens once and compares
 against a ladder of scaled graphs.
 
-The scaled Laplacian is L + (beta - 1) A, A the Laplacian of the cluster
-edges.  A is zero off the p cluster nodes, where up, down and the kernel
-projector are diagonal: every other node is its own reduced node, the
-nearly decomposable structure of Courtois (1977).  One cluster-block
-engine, built once per call, holds the p x p blocks L_cc and A_cc, the
-diagonal of L and the elimination of the outside block of L - z; per
-beta it forms only L_cc + (beta - 1) A_cc and the Schur complement, and
-guards z by the diagonal alone.  A diagonal bound that clears z also
-proves the inverses nonsingular, so small ones skip the pivot gate and
-scipy (``numerics.inverse``).  ``sweep`` and ``resolvent_diff`` run on
-it; each difference is still the dense norm of the whole resolvent
-difference.
+The scaled Laplacian is ``L_beta = B + beta A``, A the Laplacian of the cluster
+edges and B that of the others.  A is zero off the p cluster nodes, each other
+node its own reduced node (the nearly decomposable structure of Courtois 1977).
+
+The resolvent difference ``R_beta - X0``, ``R_beta = (L_beta - z)^-1`` and
+``X0 = U (L_red - z)^-1 D`` (U = up, D = down), is O(1/beta) while both
+terms are O(1), so it is never formed by subtraction.  With V spanning the
+null space of D and rows W such that ``W U = 0`` and ``W V = I``, block
+elimination in the basis ``[U V]`` gives exactly ``R_beta - X0 =
+Y Sigma_beta^-1 Z`` with ``Sigma_beta = beta K_A + K_B``, ``R0 =
+(L_red - z)^-1``, ``F = D B V``, ``G = W B U``, ``Y = V - U R0 F``,
+``Z = W - G R0 D``, ``K_A = W A V`` and ``K_B = W (B - z) V - G R0 F``.
+Sigma_beta, the Schur complement of ``L_red - z`` (the counterpart of the
+stochastic complement of Meyer 1989), is q x q for q = n - K, K reduced
+nodes, and only it depends on beta: each beta takes the 2-norm of
+``R_Y Sigma_beta^-1 C``, where ``R_Y^H R_Y`` and ``C C^H`` are the Gram
+matrices of ``M^1/2 Y`` and ``Z M^-1/2``.
+
+The z-guard reads the diagonal of ``L_beta``; only when that bound does not
+clear z is the matrix built for an eigensolve.  Clearing z proves
+``L_beta - z`` nonsingular, and likewise ``L_red - z``; as ``det(L_beta - z)
+= det(L_red - z) det(Sigma_beta)``, the two prove Sigma_beta nonsingular,
+so such small inverses skip the pivot gate and scipy (``numerics.inverse``).
 
 The heat comparison exponentiates L_beta and the reduced Laplacian as
 whole matrices.  A self-adjoint one (symmetric weights) of at least
@@ -89,7 +100,7 @@ def _multiplier(value: float) -> float:
     return float(value)
 
 
-def _clearance(centres: np.ndarray, z: complex, n: int | None = None) -> float:
+def _clearance(centres: np.ndarray, z: complex) -> float:
     """Lower bound on the distance from ``z`` to the spectrum of a Laplacian with diagonal c.
 
     Off the diagonal, ``L + (beta - 1) A``, the reduced Laplacian and the
@@ -98,16 +109,12 @@ def _clearance(centres: np.ndarray, z: complex, n: int | None = None) -> float:
     are ``D(c_i, c_i)``, at least ``|c_i - z| - c_i`` from z.  In the computed
     matrix a radius is within about ``(n + 4) eps c_i`` of its centre, which
     the slack ``2 n eps (2 max c + |z|)`` covers for n >= 2 (1 x 1 has no radius).
-    ``n`` is the length of the rows the centres were summed over: the order
-    of the Laplacian (the default, ``len(centres)``), or larger when the
-    centres are those of a principal block.
 
     A positive bound also makes ``L - z`` strictly diagonally dominant, so
-    it and its principal blocks and Schur complements are nonsingular.
+    it is nonsingular.
     """
-    n = len(centres) if n is None else n
     bound = float((np.abs(centres - z) - centres).min(initial=np.inf))
-    return bound - 2 * n * EPS * (2 * centres.max(initial=0.0) + abs(z))
+    return bound - 2 * len(centres) * EPS * (2 * centres.max(initial=0.0) + abs(z))
 
 
 def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) -> bool:
@@ -116,8 +123,8 @@ def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) 
     ``z`` must keep ``TOL_Z_CLEARANCE`` from the nonnegative real axis and from
     every eigenvalue of ``matrix()``, a Laplacian with diagonal ``centres``;
     its eigenvalues are computed only if ``_clearance`` does not clear ``z``.
-    Returns whether ``_clearance`` cleared ``z``, which certifies the inverse
-    of ``matrix() - z`` and of its Schur complements.
+    Returns whether ``_clearance`` cleared ``z``, which certifies that
+    ``matrix() - z`` is nonsingular.
     """
     zc = complex(z)
     if not np.isfinite(zc):
@@ -133,53 +140,6 @@ def _guard_z(z: complex, centres: np.ndarray, matrix: Callable[[], np.ndarray]) 
     return False
 
 
-def _resolvent(matrix: np.ndarray, z: complex) -> np.ndarray:
-    certified = _guard_z(z, matrix.diagonal(), lambda: matrix)
-    return inverse(matrix - z * np.eye(matrix.shape[0]), certified)
-
-
-def _eliminate_outside(
-    matrix: np.ndarray, p: int, z: complex
-) -> Callable[[np.ndarray, bool], np.ndarray]:
-    """Resolvents of matrices that agree with ``matrix`` off its leading p x p block.
-
-    Split ``matrix - z`` at ``p`` as ``[[A, B], [C, D]]``.  ``D^-1``,
-    ``-D^-1 C``, ``-B D^-1`` and ``-B D^-1 C`` are formed here, once; given
-    another leading block ``m``, the returned function inverts the matrix
-    minus z by one inverse of ``S = m - z - B D^-1 C`` and three products:
-
-        [[S^-1, -S^-1 B D^-1], [-D^-1 C S^-1, D^-1 + D^-1 C S^-1 B D^-1]]
-
-    ``matrix`` is a Laplacian, so ``D``, a principal block, is certified by
-    the diagonal bound on its own rows; the returned function takes whether
-    the whole matrix minus z is certified, which carries over to ``S``.
-    Raises SingularMatrix when ``D`` fails the pivot gate, and the
-    returned function does when ``S`` does.
-    """
-    n = matrix.shape[0]
-    d_certified = _clearance(matrix.diagonal()[p:], z, n) >= TOL_Z_CLEARANCE
-    d_inv = inverse(matrix[p:, p:] - z * np.eye(n - p), d_certified)
-    c = matrix[p:, :p].copy()  # a copy, so that ``matrix`` can be freed
-    lower = -(d_inv @ c)
-    right = -(matrix[:p, p:] @ d_inv)
-    schur_shift = right @ c
-
-    def resolve(block: np.ndarray, certified: bool) -> np.ndarray:
-        schur = block.astype(np.result_type(block, z))
-        schur.flat[:: p + 1] -= z
-        schur += schur_shift
-        s_inv = inverse(schur, certified)
-        out = np.empty((n, n), dtype=np.result_type(s_inv, d_inv))
-        out[:p, :p] = s_inv
-        np.matmul(s_inv, right, out=out[:p, p:])
-        np.matmul(lower, s_inv, out=out[p:, :p])
-        np.matmul(out[p:, :p], right, out=out[p:, p:])
-        out[p:, p:] += d_inv
-        return out
-
-    return resolve
-
-
 def _coarsening(
     graph: Graph, cluster_set: ClusterSet, mode: CoarsenMode, result: CoarseningResult | None
 ) -> CoarseningResult:
@@ -191,50 +151,104 @@ def _coarsening(
     return result
 
 
+def _scaled_laplacian(result: CoarseningResult, multiplier: float) -> np.ndarray:
+    """``L + (multiplier - 1) A`` of the coarsened graph, as a new array."""
+    lap, inside = laplacian(result.graph, result.basis.kind).copy(), result.split.inside
+    lap[inside[:, None], inside] += (multiplier - 1.0) * result.basis.cluster_block
+    return lap
+
+
+def _difference_factors(
+    result: CoarseningResult, lap: np.ndarray, z: complex, certified: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``K_A``, ``K_B``, ``R_Y`` and ``C`` of the module docstring, in ``M^1/2 . M^-1/2``.
+
+    V and W are grounded on the node of each reach where up is largest on a
+    row no other reach touches: ``V = (I - U D) E_J`` on the other cluster
+    nodes J and ``W = E_J^T - H E_G^T``, so products with them are gathers plus
+    rank-k corrections.  ``certified``: z cleared ``L_red``'s diagonal bound.
+    """
+    split = result.split
+    inside, outside, reach = split.inside, split.outside, split.reaches
+    root, root_r = np.sqrt(result.graph.masses), np.sqrt(result.reduced.masses)
+    up_c = split.core(result.up) * (root[inside, None] / root_r[reach])
+    # the ground of a reach: its largest entry of up on a row no other reach touches
+    lone = (up_c != 0.0).sum(axis=1) == 1
+    ground = np.argmax(np.where(lone[:, None], up_c, 0.0), axis=0)
+    perm = np.concatenate([np.delete(np.arange(len(inside)), ground), ground])
+    p, k, q = len(inside), len(reach), len(inside) - len(reach)
+    # nodes in the order J, grounds, outside, and reduced nodes in the order
+    # reaches, outside: in this frame up and down are the identity on the outside
+    order, kp = np.concatenate([inside[perm], outside]), np.concatenate([reach, split.singles])
+    r, rr = root[order], root_r[kp]
+    up_c = up_c[perm]
+    down_c = split.core(result.down.T)[perm].T * (root_r[reach, None] / r[:p])
+    h = up_c[:q] / up_c[q:].max(axis=0)  # a ground row holds its reach's entry alone
+    dj = down_c[:, :q]  # D E_J
+    # scaled and reduced in place: at these sizes a new array costs about as much as its arithmetic
+    rows = lap.take(order[:p], axis=0).take(order, axis=1)
+    rows *= r[:p, None]
+    rows /= r
+    out_j = lap.take(outside, axis=0).take(order[:q], axis=1) * (r[p:, None] / r[:q])
+    a = result.basis.cluster_block.take(perm, axis=0).take(perm, axis=1)
+    a *= r[:p, None]
+    a /= r[:p]
+    reduced = result.reduced_laplacian.take(kp, axis=0).take(kp, axis=1) * (rr[:, None] / rr)
+    r0 = inverse(reduced - z * np.eye(len(kp)), certified)
+    # B U = L U and D B = D L, since A U = 0 and D A = 0
+    f = np.concatenate([down_c @ rows[:, :q], out_j]) - reduced[:, :k] @ dj
+    wl = rows[:q]
+    wl -= h @ rows[q:]
+    g = np.concatenate([wl[:, :p] @ up_c, wl[:, p:]], axis=1)
+    k_a = a[:q, :q]
+    k_a -= h @ a[q:, :q]
+    g_r0 = g @ r0
+    k_b = wl[:, :q]
+    k_b -= k_a + g[:, :k] @ dj
+    k_b = k_b - g_r0 @ f  # complex when z is
+    k_b.flat[:: q + 1] -= z
+    m1 = r0 @ f
+    m1[:k] += dj
+    y = np.concatenate([up_c @ -m1[:k], -m1[k:]])  # Y = E_J - U (D E_J + R0 F)
+    zt = np.concatenate([down_c.T @ -g_r0[:, :k].T, -g_r0[:, k:].T])  # Z^T = W^T - D^T (G R0)^T
+    zt[q:p] -= h.T
+    for x in (y, zt):
+        x.flat[: q * q : q + 1] += 1.0
+    return k_a, k_b, _gram_factor(y).conj().T, _gram_factor(zt).conj()
+
+
+def _gram_factor(x: np.ndarray) -> np.ndarray:
+    """Lower triangular L with ``L L^H = x^H x``, after scaling ``x`` in place."""
+    scale = float(np.abs(x).max())
+    x /= scale
+    try:  # x.T @ x of a real x is a symmetric rank-k update in numpy
+        return scale * np.linalg.cholesky((x.conj() if np.iscomplexobj(x) else x).T @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"difference factor is rank deficient: {exc}") from exc
+
+
 def _resolvent_diffs(
     result: CoarseningResult, multipliers: list[float], z: complex
 ) -> list[float]:
-    """The engine: norms of ``(L + (m - 1) A - z)^-1`` minus the lifted reduced resolvent.
+    """The engine: mass norms of ``(L + (m - 1) A - z)^-1 - X0`` for each multiplier m.
 
-    In ``order``, the p cluster nodes first, A vanishes off the leading
-    p x p block, so the other rows, columns and diagonal entries are those
-    of L for every m.  Only L's p x p block and diagonal are kept; L is
-    built again if the diagonal bound does not clear z, or for every m if
-    the outside block fails the pivot gate (only possible for Re z >= 0).
-    """
-    graph, split, p = result.graph, result.split, len(result.split.inside)
-    order = np.concatenate([split.inside, split.outside])
-    masses = graph.masses[order]
-
-    def whole(block: np.ndarray | None = None) -> np.ndarray:
-        out = laplacian(graph, result.basis.kind)[order[:, None], order]
-        if block is not None:
-            out[:p, :p] = block
-        return out
-
-    lap = whole()
-    lifted = split.lift(result.up, _resolvent(result.reduced_laplacian, z), result.down.T)
+    Without cluster edges (q = 0) they are zero, and only z is guarded."""
+    graph, inside = result.graph, result.split.inside
+    lap = laplacian(graph, result.basis.kind)
     centres = lap.diagonal().copy()
-    top = lap[:p, :p].copy()
-    try:
-        resolve = _eliminate_outside(lap, p, z)
-    except SingularMatrix:
-
-        def resolve(block: np.ndarray, certified: bool) -> np.ndarray:
-            return inverse(whole(block) - z * np.eye(len(masses)), certified)
-
-    del lap
+    if result.size == graph.n:
+        _guard_z(z, centres, lambda: lap)
+        return [0.0] * len(multipliers)
+    reduced = result.reduced_laplacian
+    reduced_certified = _guard_z(z, reduced.diagonal(), lambda: reduced)
+    k_a, k_b, r_y, c = _difference_factors(result, lap, z, reduced_certified)
+    top, cluster = centres[inside].copy(), result.basis.cluster_block.diagonal()
     diffs = []
     for m in multipliers:
-        block = top + (m - 1.0) * result.basis.cluster_block
-        centres[:p] = block.diagonal()
-        certified = _guard_z(z, centres, lambda: whole(block))
-        # each n x n and p x p temporary is dropped once used
-        full = resolve(block, certified)
-        del block
-        full -= lifted
-        diffs.append(weighted_opnorm(full, masses))
-        del full
+        centres[inside] = top + (m - 1.0) * cluster
+        certified = _guard_z(z, centres, lambda: _scaled_laplacian(result, m))
+        sigma_inv = inverse(m * k_a + k_b, certified and reduced_certified)
+        diffs.append(weighted_opnorm(r_y @ sigma_inv @ c, np.ones(len(c))))
     return diffs
 
 
@@ -246,7 +260,10 @@ def resolvent_diff(
     z: float = -1.0,
     result: CoarseningResult | None = None,
 ) -> float:
-    """Mass operator norm of resolvent(full, scaled) minus lifted resolvent(reduced)."""
+    """Mass operator norm of resolvent(full, scaled) minus lifted resolvent(reduced).
+
+    That is ``Y Sigma_beta^-1 Z`` of the module docstring; no resolvent is formed.
+    """
     beta = _multiplier(beta)
     return _resolvent_diffs(_coarsening(graph, cluster_set, mode, result), [beta], z)[0]
 
@@ -287,9 +304,7 @@ def heat_diff(
         raise NonPositiveTime(f"time must be positive, got {t!r}")
     beta = _multiplier(beta)
     result = _coarsening(graph, cluster_set, mode, result)
-    inside = result.split.inside
-    lap = laplacian(graph, result.basis.kind).copy()
-    lap[inside[:, None], inside] += (beta - 1.0) * result.basis.cluster_block
+    lap = _scaled_laplacian(result, beta)
     full = _heat(lap, graph.masses, t, lambda: is_undirected(graph)
                  and is_undirected(result.cluster_set.subgraph()))
     reduced = result.reduced
@@ -357,7 +372,8 @@ def gap_bound_check(
     projector, outside = projector_blocks(result.basis)
     masses = graph.masses[result.basis.split.inside]
     lap = beta * result.basis.cluster_block
-    res = _resolvent(lap, z) + projector / z
+    certified = _guard_z(z, lap.diagonal(), lambda: lap)
+    res = inverse(lap - z * np.eye(len(lap)), certified) + projector / z
     off = np.abs(1.0 / (-z) - outside / (-z)).max(initial=0.0)
     distance = float(np.maximum(weighted_opnorm(res, masses), off))
     gap = spectral_gap(lap, masses, graph.n)
@@ -406,11 +422,10 @@ def sweep(
 ) -> SweepReport:
     """Measure resolvent convergence along an increasing ladder of betas.
 
-    Each difference is the mass operator norm of the dense scaled resolvent
-    minus the lifted reduced one, from the cluster-block engine: the rows
-    and columns of ``L_beta - z`` off the p cluster nodes are eliminated
-    once, and each beta forms ``L_cc + (beta - 1) A_cc``, guards z by the
-    whole matrix's diagonal and inverts the Schur complement.
+    Each difference is the mass operator norm of ``Y Sigma_beta^-1 Z`` of the
+    module docstring: set up once per call, and per beta a z-guard on the
+    diagonal, a q x q inverse and a q x q norm.  No two O(1) resolvents are
+    subtracted, so the differences keep their accuracy however large beta grows.
 
     The log-log slope of the differences against beta is fitted by least
     squares; the smallest beta is left out of the fit when more than three

@@ -152,23 +152,6 @@ class ClusterSplit:
         back = np.argsort(np.concatenate([r, s]))
         return out.take(back, axis=0).take(back, axis=1)
 
-    def lift(self, x: np.ndarray, inner: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``x @ inner @ y.T`` for n x K arrays split this way, inside rows and columns first."""
-        if x.size < _BLOCKS_FROM:
-            order = np.concatenate([self.inside, self.outside])
-            return x[order] @ inner @ y[order].T
-        r, s, p = self.reaches, self.singles, len(self.inside)
-        xc, xo = self.core(x), self.diagonal(x)[:, None]
-        yc, yo = self.core(y), self.diagonal(y)
-        rows, below = inner.take(r, axis=0), inner.take(s, axis=0)
-        n = p + len(self.outside)
-        out = np.empty((n, n), dtype=np.result_type(x, inner, y))
-        out[:p, :p] = xc @ rows.take(r, axis=1) @ yc.T
-        out[:p, p:] = (xc @ rows.take(s, axis=1)) * yo
-        out[p:, :p] = (xo * below.take(r, axis=1)) @ yc.T
-        out[p:, p:] = xo * below.take(s, axis=1) * yo
-        return out
-
     def pairing_residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Largest entry of ``|x.T @ y - I|`` for n x K arrays split this way.
 

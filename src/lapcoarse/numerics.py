@@ -14,8 +14,8 @@ An inverse takes one of two routes.  The pivot gate needs the LU
 factors, which only scipy's ``getrf`` returns, so an inverse is gated
 ``getrf`` and ``getri`` by default.  A caller that has proved the matrix
 nonsingular, as the harness does when a Laplacian's diagonal bound
-clears z (``L - z`` is then strictly diagonally dominant, and so is every
-principal block and Schur complement of it), passes ``certified``; below
+clears z (``L - z`` is then strictly diagonally dominant) or when two such
+bounds prove a Schur complement nonsingular, passes ``certified``; below
 :data:`_NUMPY_INVERSE_BELOW` rows such a matrix goes to numpy's LU solve
 against the identity, which is cheaper there (9 against 19 us at three
 rows) and needs no scipy.  So ``verify`` at the default real z on a small

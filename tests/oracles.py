@@ -4,12 +4,15 @@ The package needs none of these.  Each recomputes something the package
 computes another way (spanning-tree weights by enumeration, cofactors and
 one-node-at-a-time GTH elimination, the Riesz projector by a contour
 integral, null spaces by SVD, components by union-find, Laplacians by the
-plain three-pass formula), or builds an input the package never forms
+plain three-pass formula, the resolvent difference in exact rational
+arithmetic), or builds an input the package never forms
 itself (scaled and matrix-built graphs).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable
 
 import numpy as np
@@ -354,3 +357,165 @@ def principal_angle_gap(basis_a: np.ndarray, basis_b: np.ndarray) -> float:
     resid = qb - qa @ (qa.conj().T @ qb)
     sines = np.linalg.svd(resid, compute_uv=False)
     return float(min(1.0, sines[0])) if sines.size else 0.0
+
+
+# -- the resolvent difference in exact arithmetic ------------------------------------
+#
+# Matrices are lists of rows of Fractions.  A complex matrix X + iY is carried
+# as its real embedding [[X, -Y], [Y, X]], which Fraction arithmetic inverts
+# like any real matrix, since the embedding of a product or an inverse is the
+# product or inverse of the embeddings.
+
+Exact = list[list[Fraction]]
+
+
+def _exact(a) -> Exact:
+    return [[Fraction(float(x)) for x in row] for row in np.asarray(a, dtype=float)]
+
+
+def _identity(n: int) -> Exact:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def _transposed(a: Exact) -> Exact:
+    return [list(col) for col in zip(*a)]
+
+
+def _product(a: Exact, b: Exact) -> Exact:
+    cols = _transposed(b)
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
+def _combine(a: Exact, b: Exact, t: Fraction = Fraction(1)) -> Exact:
+    """``a + t b``."""
+    return [[x + t * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def _embedding(re: Exact, im: Exact) -> Exact:
+    top = [r + [-x for x in i] for r, i in zip(re, im)]
+    return top + [i + r for r, i in zip(re, im)]
+
+
+def _rref(a: Exact) -> tuple[Exact, list[int]]:
+    """Reduced row echelon form of ``a`` and its pivot columns."""
+    rows = [list(r) for r in a]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        pick = next((i for i in range(len(pivots), len(rows)) if rows[i][col] != 0), None)
+        if pick is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[pick] = rows[pick], rows[top]
+        lead = rows[top][col]
+        rows[top] = [x / lead for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col] != 0:
+                rows[i] = [x - row[col] * y for x, y in zip(row, rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def _null_space(a: Exact) -> Exact:
+    """Columns spanning the right null space of ``a``, from its RREF."""
+    reduced, pivots = _rref(a)
+    n = len(a[0])
+    free = [c for c in range(n) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for row, p in zip(reduced, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return _transposed(basis) if basis else [[] for _ in range(n)]
+
+
+def _inverse(a: Exact) -> Exact:
+    """Gauss-Jordan inverse; ValueError when ``a`` is singular."""
+    n = len(a)
+    reduced, pivots = _rref([row + unit for row, unit in zip(a, _identity(n))])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in reduced]
+
+
+def _exact_laplacian(graph: Graph, kind: str) -> Exact:
+    w, masses = _exact(graph.weights), _exact(graph.masses[None, :])[0]
+    n = len(masses)
+    deg = [sum(w[i]) if kind == "in" else sum(w[j][i] for j in range(n)) for i in range(n)]
+    return [[((deg[i] if i == j else 0) - w[i][j]) / masses[i] for j in range(n)]
+            for i in range(n)]
+
+
+@dataclass
+class ExactResolvent:
+    """The exact pieces of ``(B + beta A - z)^-1 - U (D (B - z) U)^-1 D``.
+
+    ``a`` is the cluster Laplacian and ``b = L - a``; ``right`` (U) and
+    ``left`` (N_l) span the right and left null spaces of ``a``, and
+    ``down`` (D) is ``(N_l^T U)^-1 N_l^T``.  ``shifted`` and ``resolvent``
+    are ``B + beta A - z`` and its inverse, both as real embeddings.
+    """
+
+    a: Exact
+    b: Exact
+    right: Exact
+    left: Exact
+    down: Exact
+    shifted: Exact
+    resolvent: Exact
+    difference: np.ndarray
+
+
+def exact_resolvent(
+    graph: Graph, cluster_set, mode: str, beta: float, z: complex
+) -> ExactResolvent:
+    """The resolvent difference of a coarsening, in exact rational arithmetic.
+
+    Nothing here reads the package's kernel bases or transfer operators:
+    the null spaces of the cluster Laplacian come from its RREF, and the
+    reduced resolvent is taken in that basis, which is exact because the
+    lifted resolvent ``U (D (B - z) U)^-1 D`` does not depend on the basis
+    of the null space.  The difference is rounded to floating point once,
+    at the end.  Every input must be exact in floating point: integer
+    weights and power-of-two masses do that.
+
+    Measured against this oracle, the engine that the low-rank one
+    replaced, which subtracted two O(1) resolvents, lost digits like
+    beta^2.  Its relative error over 8 random in-mode fixtures with n = 5
+    to 8 had median 4.4e-9 and max 1.5e-8 at beta = 1e4, 5.2e-5 and
+    1.6e-4 at 1e6, 0.22 and 1.3 at 1e8, 5.3e3 and 2.3e4 at 1e10.  On the
+    fixtures of ``support.exact_cases`` (all modes, z = -1 and -1 + 0.5j)
+    it had median 8.1e-11 and max 3.3e-8 at 1e4, 9.0e-7 and 1.9e-4 at 1e6,
+    0.11 and 80 at 1e8, 7.3e3 and 6.5e5 at 1e10.  The low-rank engine
+    stays within 1.6e-15 there at every beta.
+    """
+    kind = "out" if mode == "out" else "in"
+    lap = _exact_laplacian(graph, kind)
+    a = _exact_laplacian(cluster_set.subgraph(), kind)
+    b = _combine(lap, a, Fraction(-1))
+    right, left = _null_space(a), _null_space(_transposed(a))
+    left_t = _transposed(left)
+    down = _product(_inverse(_product(left_t, right)), left_t)
+    zr, zi = Fraction(complex(z).real), Fraction(complex(z).imag)
+    n, k = len(lap), len(down)
+    eye_n, eye_k = _identity(n), _identity(k)
+    scaled = _combine(_combine(b, a, Fraction(beta)), eye_n, -zr)
+    shifted = _embedding(scaled, [[-zi * x for x in row] for row in eye_n])
+    resolvent = _inverse(shifted)
+    reduced = _combine(_product(down, _product(b, right)), eye_k, -zr)
+    inner = _inverse(_embedding(reduced, [[-zi * x for x in row] for row in eye_k]))
+    # the real and imaginary parts are the left blocks of an embedding
+    real, imag = (_product(right, _product([row[:k] for row in half], down))
+                  for half in (inner[:k], inner[k:]))
+    difference = np.array([[x - y for x, y in zip(row[:n], lifted)]
+                           for row, lifted in zip(resolvent, real + imag)], dtype=float)
+    difference = difference[:n] + 1j * difference[n:]
+    return ExactResolvent(a, b, right, left, down, shifted, resolvent, difference)
+
+
+def exact_resolvent_diff(graph: Graph, cluster_set, mode: str, beta: float, z: complex) -> float:
+    """Mass operator norm of :func:`exact_resolvent`'s difference, by SVD."""
+    diff = exact_resolvent(graph, cluster_set, mode, beta, z).difference
+    s = np.sqrt(graph.masses)
+    return float(np.linalg.svd(diff * s[:, None] / s[None, :], compute_uv=False)[0])

@@ -28,6 +28,7 @@ TOL_ORACLE_STIFF = 1e-8      # the same at beta = 1e6
 TOL_BLOCKS = 1e-14           # block-form coarsening vs whole-matrix products, relative
 TOL_LU_SOLVE = 0.0           # solve vs scipy's lu_factor + lu_solve: the same LAPACK calls
 TOL_HEAT_FLOOR = 10.0        # heat kernels: absolute floor, in units of eps (1 + t ||L_beta||_inf)
+TOL_EXACT = 1e-12            # resolvent differences vs the exact rational oracle, relative
 
 
 def sym_pairs(u: str, v: str):
@@ -239,6 +240,73 @@ def random_cluster_pairs(rng: np.random.Generator, graph, undirected: bool = Fal
     if not take:
         take = [drawn[int(rng.integers(len(drawn)))]]
     return take
+
+
+def cycles_with_background(seed: int, n: int, sizes, mode: str):
+    """A seeded graph of n nodes: cluster cycles of the given sizes and a background.
+
+    Masses and weights are drawn from [0.5, 2].  Every cycle edge is a cluster
+    edge; each node also draws three background partners, kept when new.  The cycles
+    and the background are symmetric for mode ``undirected``; in the
+    directed modes every other cycle runs one way only.  Returns the graph
+    and its cluster set for ``mode``.
+    """
+    rng = np.random.default_rng(seed)
+    undirected = mode == "undirected"
+    names = [f"v{k:03d}" for k in range(n)]
+    order = [names[k] for k in rng.permutation(n)]
+    edges, cluster, start = [], [], 0
+    for c, size in enumerate(sizes):
+        members = order[start:start + size]
+        start += size
+        for u, v in zip(members, members[1:] + members[:1]):
+            w = float(rng.uniform(0.5, 2.0))
+            drawn = sym(u, v, w) if undirected or c % 2 == 0 else [(u, v, w)]
+            edges += drawn
+            cluster += [(s, d) for s, d, _ in drawn]
+    taken = {(s, d) for s, d, _ in edges}
+    for u in names:
+        for v in rng.choice(names, 3, replace=False):
+            if u != v and (u, v) not in taken and (v, u) not in taken:
+                w = float(rng.uniform(0.5, 2.0))
+                drawn = sym(u, v, w) if undirected else [(u, v, w)]
+                edges += drawn
+                taken.update((s, d) for s, d, _ in drawn)
+    graph = build_graph([(v, float(rng.uniform(0.5, 2.0))) for v in names], edges)
+    return graph, build_cluster_set(graph, cluster, "undirected" if undirected else "directed")
+
+
+def exact_cases(mode: str, count: int = 6, seed: int = 101):
+    """(graph, cluster set) pairs whose every float input is exact.
+
+    n = 5 to 8 nodes, masses 2^-1 .. 2^2, integer weights 1 to 9 on a random
+    edge set (symmetric for mode ``undirected``), and as cluster edges those
+    that join two nodes of the same random group.
+    """
+    rng = np.random.default_rng([seed, ("undirected", "in", "out").index(mode)])
+    undirected = mode == "undirected"
+    cases = []
+    while len(cases) < count:
+        n = int(rng.integers(5, 9))
+        names = [f"x{k}" for k in range(n)]
+        group = rng.integers(0, max(2, n // 2), n)
+        edges, pairs = [], []
+        for i in range(n):
+            for j in range(i + 1 if undirected else 0, n):
+                if i == j or rng.random() >= 0.45:
+                    continue
+                w = float(rng.integers(1, 10))
+                drawn = sym(names[i], names[j], w) if undirected else [(names[i], names[j], w)]
+                edges += drawn
+                if group[i] == group[j]:
+                    pairs += [(s, d) for s, d, _ in drawn]
+        if not pairs:
+            continue
+        masses = 2.0 ** rng.integers(-1, 3, n)
+        graph = build_graph(zip(names, masses.tolist()), edges)
+        kind = "undirected" if undirected else "directed"
+        cases.append((graph, build_cluster_set(graph, pairs, kind)))
+    return cases
 
 
 def random_distribution(rng: np.random.Generator, masses):

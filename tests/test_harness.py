@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lapcoarse.errors import (
     NonPositiveTime,
     NonPositiveWeight,
     NotSymmetrizable,
-    SingularMatrix,
     ZOnSpectrumAxis,
 )
 from lapcoarse.graph import build_graph, is_undirected, laplacian
@@ -193,18 +193,16 @@ def test_sweep_guards_z_with_the_whole_matrix_gershgorin_bound(mode, monkeypatch
         lambda z, centres, matrix: seen.append((_clearance(centres, z), matrix())) or
         original(z, centres, matrix)
     )
-    for label, g, pairs, z, _ in elimination_cases(mode):
+    for label, g, pairs, z in elimination_cases(mode):
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
         seen.clear()
         sweep(g, cs, mode, LADDER, z=z)
-        result = coarsen(g, cs, mode)
-        order = np.concatenate([result.split.inside, result.split.outside])
         per_beta = seen[1:]
         assert len(per_beta) == len(LADDER), label
         kind = "out" if mode == "out" else "in"
         for beta, (bound, matrix) in zip(LADDER, per_beta):
             assert bound == _clearance(matrix.diagonal(), z), label
-            want = S.scaled_laplacian(g, cs, kind, beta)[np.ix_(order, order)]
+            want = S.scaled_laplacian(g, cs, kind, beta)
             assert np.allclose(matrix, want, rtol=S.TOL_ORACLE, atol=0.0), (label, beta)
 
 
@@ -511,7 +509,7 @@ def test_sweep_report_serializes_to_plain_data():
     assert data["notes"] == list(report.notes)
 
 
-# -- sweep: outside block eliminated once -------------------------------------------
+# -- sweep: one engine set-up per call -----------------------------------------------
 
 
 def chain_with_cluster_head(n: int, p: int):
@@ -556,58 +554,62 @@ def singular_outside_block(mode: str):
 
 
 def elimination_cases(mode: str):
-    """(label, graph, cluster pairs, z, outside block expected singular)."""
+    """(label, graph, cluster pairs, z); the last graph's outside block is singular at z."""
     undirected = mode == "undirected"
     rng = np.random.default_rng(83)
     cases = []
     for k in range(4):
         g = S.random_graph(rng, undirected=undirected)
         pairs = S.random_cluster_pairs(rng, g, undirected=undirected)
-        cases.append((f"random{k}", g, pairs, -1.0 + 0.5j if k % 2 else -1.0, False))
+        cases.append((f"random{k}", g, pairs, -1.0 + 0.5j if k % 2 else -1.0))
     square = build_graph(
         [(v, m) for v, m in zip("abcd", (1.0, 0.5, 2.0, 1.5))],
         S.sym("a", "b", 2.0) + S.sym("c", "d", 3.0)
         + S.sym("b", "c") + S.sym("a", "d", 0.5),
     )
     both = S.sym_pairs("a", "b") + S.sym_pairs("c", "d")
-    cases.append(("q=0", square, both, -1.0, False))
-    cases.append(("q=n-2", S.clique(6), S.sym_pairs("v00", "v01"), -1.0 + 0.5j, False))
+    cases.append(("no outside node", square, both, -1.0))
+    cases.append(("n-2 outside nodes", S.clique(6), S.sym_pairs("v00", "v01"), -1.0 + 0.5j))
     g, pairs = chain_with_cluster_head(130, 50)
-    cases.append(("n=130", g, pairs, -1.0, False))
+    cases.append(("n=130", g, pairs, -1.0))
     g, pairs, z = singular_outside_block(mode)
-    cases.append(("singular-outside", g, pairs, z, True))
+    cases.append(("singular-outside", g, pairs, z))
     return cases
 
 
-def spy_elimination(monkeypatch):
+def spy_setup(monkeypatch):
+    """The q of each set-up of the low-rank engine, and the sizes the harness inverts."""
     harness = importlib.import_module("lapcoarse.harness")
-    outcomes = []
-    original = harness._eliminate_outside
+    setups, sizes = [], spy_inverse(monkeypatch)
+    original = harness._difference_factors
 
     def spy(*args):
-        try:
-            resolve = original(*args)
-        except SingularMatrix:
-            outcomes.append("whole")
-            raise
-        outcomes.append("eliminated")
-        return resolve
+        factors = original(*args)
+        setups.append(len(factors[0]))
+        return factors
 
-    monkeypatch.setattr(harness, "_eliminate_outside", spy)
-    return outcomes
+    monkeypatch.setattr(harness, "_difference_factors", spy)
+    return setups, sizes
+
+
+def assert_one_setup_per_call(spied, graph, cluster_set, mode, calls: int, label):
+    """Each engine call sets up once, for q = n - K, and nothing of size n is inverted."""
+    setups, sizes = spied
+    assert setups == [graph.n - coarsen(graph, cluster_set, mode).size] * calls, label
+    assert sizes and max(sizes) < graph.n, label
 
 
 @pytest.mark.parametrize("mode", ["undirected", "in", "out"])
 def test_sweep_diffs_equal_per_beta_resolvent_diffs(mode, monkeypatch):
-    for label, g, pairs, z, singular in elimination_cases(mode):
+    for label, g, pairs, z in elimination_cases(mode):
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
-        outside = {"q=0": 0, "q=n-2": g.n - 2}.get(label)
+        outside = {"no outside node": 0, "n-2 outside nodes": g.n - 2}.get(label)
         if outside is not None:
             assert g.n - len(cs.cluster_nodes) == outside
-        outcomes = spy_elimination(monkeypatch)
+        spied = spy_setup(monkeypatch)
         report = sweep(g, cs, mode, LADDER, z=z)
         monkeypatch.undo()
-        assert outcomes == ["whole" if singular else "eliminated"], label
+        assert_one_setup_per_call(spied, g, cs, mode, 1, label)
         result = coarsen(g, cs, mode)
         for beta, diff in zip(report.betas, report.diffs):
             want = resolvent_diff(g, cs, mode, beta, z, result=result)
@@ -628,6 +630,50 @@ def test_sweep_uses_a_given_coarsening(mode, monkeypatch):
     assert len(calls) == 1
 
 
+# -- the low-rank engine at large beta ---------------------------------------------
+
+
+NOT_MONOTONE_NOTE = "resolvent differences are not monotone along the ladder"
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_beta_times_the_difference_settles_from_beta_1e8_to_1e11(mode):
+    """Subtracting two O(1) resolvents lost every digit here by beta = 1e10."""
+    g, cs = S.cycles_with_background(7, 100, (5, 12, 23), mode)
+    ladder = [1e8, 1e9, 1e10, 1e11]
+    report = sweep(g, cs, mode, ladder)
+    scaled = [beta * diff for beta, diff in zip(ladder, report.diffs)]
+    for value in scaled[1:]:
+        assert abs(value - scaled[0]) <= 1e-4 * scaled[0], scaled
+    assert NOT_MONOTONE_NOTE not in report.notes
+    assert SLOW_SLOPE_NOTE not in report.notes
+    assert abs(report.fitted_slope + 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_the_beta_loop_allocates_no_n_by_n_array(mode, monkeypatch):
+    """Memory traced from the end of the set-up to the end of a four-beta sweep."""
+    g, cs = S.cycles_with_background(11, 200, (40,), mode)
+    harness = importlib.import_module("lapcoarse.harness")
+    original, marks = harness._difference_factors, []
+
+    def setup(*args):
+        factors = original(*args)
+        tracemalloc.reset_peak()
+        marks.append(tracemalloc.get_traced_memory()[0])
+        return factors
+
+    monkeypatch.setattr(harness, "_difference_factors", setup)
+    tracemalloc.start()
+    try:
+        sweep(g, cs, mode, [1e3, 1e4, 1e5, 1e6])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(marks) == 1
+    assert peak - marks[0] < g.n * g.n * 8
+
+
 # -- the whole-matrix oracle ------------------------------------------------------
 
 
@@ -645,7 +691,7 @@ def blocks_always(monkeypatch):
 @pytest.mark.parametrize("mode", ["undirected", "in", "out"])
 def test_sweep_and_resolvent_diff_match_the_whole_matrix_oracle(mode, blocks_always):
     ladder = [1e1, 1e2, 1e3, 1e4, 1e6]
-    for label, g, pairs, z, _ in elimination_cases(mode):
+    for label, g, pairs, z in elimination_cases(mode):
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
         result = coarsen(g, cs, mode)
         for point in (z, complex(z) + 0.25j):
@@ -821,8 +867,9 @@ def test_every_inverse_the_diagonal_bound_misses_meets_the_pivot_gate(mode, monk
     """z inside a Gershgorin disk of every matrix inverted: nothing is certified.
 
     The gap check runs at beta = 1e6, where the cluster block's centres
-    pass the undirected singular-outside z = 1e5.  The singular-outside
-    block fails the gate, and the engine falls back to the whole matrix.
+    pass the undirected singular-outside z = 1e5.  The engine inverts no
+    block of the singular-outside graph's outside nodes, so it answers
+    there with one set-up per call, like everywhere else.
     """
     cases = [
         ("triangle", S.triangle(), S.TRIANGLE_CLUSTER, 3.0 + 0.1j),
@@ -833,14 +880,13 @@ def test_every_inverse_the_diagonal_bound_misses_meets_the_pivot_gate(mode, monk
         cs = build_cluster_set(g, pairs, "undirected" if mode == "undirected" else "directed")
         inverses = spy_inverse(monkeypatch)
         gated = spy_gate(monkeypatch)
-        outcomes = spy_elimination(monkeypatch)
+        spied = spy_setup(monkeypatch)
         sweep(g, cs, mode, LADDER, z=z)
         resolvent_diff(g, cs, mode, 1e3, z)
         gap_bound_check(g, cs, mode, 1e6, z)
         monkeypatch.undo()
         assert inverses and gated == inverses, label
-        want = "whole" if label == "singular-outside" else "eliminated"
-        assert outcomes == [want, want, want], label
+        assert_one_setup_per_call(spied, g, cs, mode, 3, label)
 
 
 @pytest.mark.parametrize("call", ["resolvent_diff", "heat_diff", "sweep"])
