@@ -30,10 +30,8 @@ from .graph import (
     Graph,
     build_graph,
     degrees,
-    drop_edges,
     is_undirected,
     laplacian,
-    restrict_edges,
     transpose,
     validate_boundedness,
 )
@@ -76,7 +74,6 @@ __all__ = [
     "coarsen",
     "connected_components",
     "degrees",
-    "drop_edges",
     "export_dot",
     "gap_bound_check",
     "heat_diff",
@@ -89,7 +86,6 @@ __all__ = [
     "probability_transport_check",
     "reaches",
     "resolvent_diff",
-    "restrict_edges",
     "riesz_from_kernels",
     "serialize_coarsening",
     "serialize_graph",

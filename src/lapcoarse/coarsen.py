@@ -158,7 +158,7 @@ def _assemble(
     # the reduced graph's node ids are sorted; perm takes them from ``labels``
     perm = sorted(range(len(labels)), key=labels.__getitem__)
     weights = _aggregate_edges(aggregate).take(perm, axis=0).take(perm, axis=1)
-    reduced = Graph(tuple(labels[k] for k in perm), coarse_mass[perm], weights)
+    reduced = Graph._adopt(tuple(labels[k] for k in perm), coarse_mass[perm], weights)
     compressed = split.sandwich(down.T, laplacian(background, kind), up)
     down, up, split = down[perm], up[:, perm], split.permuted(perm)
     compressed = compressed.take(perm, axis=0).take(perm, axis=1)

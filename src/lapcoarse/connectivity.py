@@ -15,7 +15,7 @@ in both modes; undirected mode only adds that the subset be symmetric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -30,7 +30,7 @@ from .errors import (
     UnknownEndpoint,
     UnknownNode,
 )
-from .graph import Graph, drop_edges, restrict_edges
+from .graph import Graph, _dropped, _edge_cells, _restricted
 
 ClusterMode = Literal["undirected", "directed"]
 
@@ -200,15 +200,21 @@ def connected_components(
     if pairs is None:
         pairs = graph.edge_pairs()
     pair_set = _symmetric_pairs(pairs)
-    return tuple(reach.nodes for reach in reaches(_cluster_subgraph(graph, pair_set)))
+    subgraph = _restricted(graph, *_cluster_cells(graph, pair_set))
+    return tuple(reach.nodes for reach in reaches(subgraph))
 
 
-def _cluster_subgraph(graph: Graph, pairs: Iterable[EdgePair]) -> Graph:
-    """:func:`restrict_edges`, reporting a non-edge as :class:`UnknownEdge`."""
+def _cluster_cells(graph: Graph, pairs: Iterable[EdgePair]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the distinct pairs, ascending; a non-edge raises :class:`UnknownEdge`."""
     try:
-        return restrict_edges(graph, pairs)
+        rows, cols = _edge_cells(graph, dict.fromkeys(pairs))
     except UnknownEndpoint as exc:
         raise UnknownEdge(str(exc)) from None
+    order = np.argsort(rows * graph.n + cols)
+    rows, cols = rows[order], cols[order]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 @dataclass(frozen=True)
@@ -223,7 +229,11 @@ class ClusterSet:
     always exactly ``total_edges``).  ``decomposition`` is that reach
     decomposition (undirected mode: the components, as reaches with no
     common part), including edgeless singleton reaches, so its node sets
-    cover V.
+    cover V.  ``cells`` holds ``total_edges`` as two read-only index arrays
+    into ``graph.weights``, rows (heads) and columns (tails), one entry per
+    edge in ascending row-major order; :meth:`subgraph` and
+    :meth:`background` write through them.  They are derived from
+    ``total_edges``, so equality and hashing leave them out.
     """
 
     mode: ClusterMode
@@ -232,6 +242,7 @@ class ClusterSet:
     node_sets: tuple[frozenset[str], ...]
     total_edges: frozenset[EdgePair]
     decomposition: ReachDecomposition
+    cells: tuple[np.ndarray, np.ndarray] = field(compare=False, repr=False)
 
     @property
     def cluster_nodes(self) -> frozenset[str]:
@@ -245,13 +256,24 @@ class ClusterSet:
     def outside_nodes(self) -> frozenset[str]:
         return frozenset(self.graph.nodes) - self.cluster_nodes
 
+    @property
+    def symmetric(self) -> bool:
+        """True when the cluster subgraph equals its transpose.
+
+        That is, each cell's mirror is a cell with an equal weight.
+        """
+        rows, cols = self.cells
+        n, weights = self.graph.n, self.graph.weights
+        return bool(np.array_equal(np.sort(cols * n + rows), rows * n + cols)
+                    and np.array_equal(weights[rows, cols], weights[cols, rows]))
+
     def subgraph(self) -> Graph:
         """Parent graph restricted to the cluster edges."""
-        return restrict_edges(self.graph, self.total_edges)
+        return _restricted(self.graph, *self.cells)
 
     def background(self) -> Graph:
         """Parent graph with the cluster edges removed."""
-        return drop_edges(self.graph, self.total_edges)
+        return _dropped(self.graph, *self.cells)
 
 
 def _flatten(edges) -> tuple[list[EdgePair], list[list[EdgePair]] | None]:
@@ -290,7 +312,7 @@ def build_cluster_set(
     empty group is rejected.
     """
     flat, groups = _flatten(edges)
-    subgraph = _cluster_subgraph(graph, flat)
+    cells = _cluster_cells(graph, flat)
     if mode not in ("undirected", "directed"):
         raise InvalidOption(f"mode must be 'undirected' or 'directed', got {mode!r}")
     total = _symmetric_pairs(flat) if mode == "undirected" else frozenset(flat)
@@ -302,7 +324,7 @@ def build_cluster_set(
         if mode == "undirected" and nodes & seen:
             raise ClustersShareNodes(f"clusters share nodes {sorted(nodes & seen)}")
         seen |= nodes
-    decomposition = reaches(subgraph)
+    decomposition = reaches(_restricted(graph, *cells))
     member: dict[str, list[int]] = {}
     for k, reach in enumerate(decomposition):
         for v in reach.nodes:
@@ -320,5 +342,5 @@ def build_cluster_set(
             "their total edge set"
         )
     node_sets = tuple(frozenset(v for pair in c for v in pair) for c in clusters)
-    return ClusterSet(mode, graph, clusters, node_sets, total, decomposition)
+    return ClusterSet(mode, graph, clusters, node_sets, total, decomposition, cells)
 

@@ -7,9 +7,9 @@ head-row convention: ``W[i, j]`` is the weight of the drawn arrow j -> i,
 so that the in-degree Laplacian is ``M^-1 (diag(row sums) - W)`` and the
 out-degree Laplacian is ``M^-1 (diag(column sums) - W)``.
 
-Instances are immutable after construction (arrays are copied and set
-read-only) and safe to share across threads.  Self-loops are dropped at
-construction: a loop's weight cancels from ``D - W`` exactly.
+Instances are immutable after construction (arrays are set read-only) and
+safe to share across threads.  Self-loops are dropped at construction: a
+loop's weight cancels from ``D - W`` exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +44,12 @@ class Graph:
     matrix in the package is indexed against it.  ``weights[i, j]`` is the
     weight of the drawn edge ``nodes[j] -> nodes[i]`` (0 where absent).
     Construction validates the node ids, masses (finite, > 0) and weights
-    (finite, >= 0), copies both arrays and zeroes the weight diagonal.
+    (finite, >= 0) and zeroes the weight diagonal.  ``Graph(...)`` copies
+    both arrays, so the caller keeps its own.  The package's builders
+    (:func:`build_graph`, :func:`transpose`, :func:`restrict_edges`,
+    :func:`drop_edges`, a cluster set's graphs and a coarsening's reduced
+    graph) hand the arrays they have just made to :meth:`_adopt`, which
+    validates them the same way but keeps them without a second copy.
     """
 
     nodes: tuple[str, ...]
@@ -53,6 +58,25 @@ class Graph:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self._settle(np.array(self.masses, dtype=float),
+                     np.array(self.weights, dtype=float, order="C"))
+
+    @classmethod
+    def _adopt(cls, nodes: tuple[str, ...], masses, weights: np.ndarray) -> Graph:
+        """A graph that keeps ``masses`` and ``weights`` instead of copying them.
+
+        For arrays no one else writes to: both are validated as by the
+        constructor and set read-only, and the weight diagonal is zeroed in
+        place.  Arrays of another dtype or order are converted, once.
+        """
+        graph = cls.__new__(cls)
+        object.__setattr__(graph, "nodes", nodes)
+        graph._settle(np.asarray(masses, dtype=float),
+                      np.ascontiguousarray(weights, dtype=float))
+        return graph
+
+    def _settle(self, masses: np.ndarray, weights: np.ndarray) -> None:
+        """Validate the node ids and the arrays, then keep the arrays read-only."""
         nodes, n = self.nodes, len(self.nodes)
         if not n:
             raise EmptyGraph("a graph needs at least one node")
@@ -60,8 +84,6 @@ class Graph:
         if len(index) != n:
             dupes = sorted({v for k, v in enumerate(nodes) if index[v] != k})
             raise DuplicateNode(f"duplicate node identifiers: {dupes}")
-        masses = np.array(self.masses, dtype=float)
-        weights = np.array(self.weights, dtype=float, order="C")
         if masses.shape != (n,) or weights.shape != (n, n):
             raise ShapeMismatch(f"{n} nodes need masses {(n,)} and weights {(n, n)}")
         bad = np.flatnonzero(~((0.0 < masses) & (masses < np.inf)))
@@ -73,7 +95,8 @@ class Graph:
             i, j = np.argwhere(~((0.0 <= weights) & (weights < np.inf)))[0]
             edge = f"{nodes[j]!r} -> {nodes[i]!r}"
             raise NonPositiveWeight(f"edge {edge} has weight {weights[i, j]}")
-        np.fill_diagonal(weights, 0.0)
+        if weights.diagonal().any():  # derived arrays, maybe read-only, have none
+            np.fill_diagonal(weights, 0.0)
         for name, value in (("masses", masses), ("weights", weights)):
             value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -153,12 +176,12 @@ def build_graph(
         if not w > 0:
             raise NonPositiveWeight(f"edge {src!r} -> {dst!r} has weight {w!r}")
         weights[cell] = w
-    return Graph(tuple(v for v, _ in node_list), [m for _, m in node_list], weights)
+    return Graph._adopt(tuple(v for v, _ in node_list), [m for _, m in node_list], weights)
 
 
 def transpose(graph: Graph) -> Graph:
     """Reverse every edge, keep weights and masses."""
-    return Graph(graph.nodes, graph.masses, graph.weights.T)
+    return Graph._adopt(graph.nodes, graph.masses, graph.weights.T)
 
 
 def is_undirected(graph: Graph) -> bool:
@@ -198,24 +221,38 @@ def _cells(graph: Graph, pairs: Iterable[tuple[str, str]]) -> tuple[np.ndarray, 
     return tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
 
 
-def restrict_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
-    """Subgraph with the same nodes/masses and only the given drawn edges."""
+def _edge_cells(graph: Graph, pairs: Iterable[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_cells` of pairs that must all be edges of the graph."""
     rows, cols = _cells(graph, pairs)
-    kept = graph.weights[rows, cols]
-    absent = np.flatnonzero(kept <= 0.0)
+    absent = np.flatnonzero(graph.weights[rows, cols] <= 0.0)
     if absent.size:
         src, dst = graph.nodes[cols[absent[0]]], graph.nodes[rows[absent[0]]]
         raise UnknownEndpoint(f"({src!r}, {dst!r}) is not an edge of the graph")
+    return rows, cols
+
+
+def _restricted(graph: Graph, rows: np.ndarray, cols: np.ndarray) -> Graph:
+    """The graph with only the weights at ``(rows, cols)``."""
     weights = np.zeros_like(graph.weights)
-    weights[rows, cols] = kept
-    return Graph(graph.nodes, graph.masses, weights)
+    weights[rows, cols] = graph.weights[rows, cols]
+    return Graph._adopt(graph.nodes, graph.masses, weights)
+
+
+def _dropped(graph: Graph, rows: np.ndarray, cols: np.ndarray) -> Graph:
+    """The graph with the weights at ``(rows, cols)`` set to zero."""
+    weights = graph.weights.copy()  # writable, where the graph's own is not
+    weights[rows, cols] = 0.0
+    return Graph._adopt(graph.nodes, graph.masses, weights)
+
+
+def restrict_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
+    """Subgraph with the same nodes/masses and only the given drawn edges."""
+    return _restricted(graph, *_edge_cells(graph, pairs))
 
 
 def drop_edges(graph: Graph, pairs: Iterable[tuple[str, str]]) -> Graph:
     """Complement of :func:`restrict_edges`: remove the given drawn edges."""
-    weights = graph.weights.copy()  # writable, where the graph's own is not
-    weights[_cells(graph, pairs)] = 0.0
-    return Graph(graph.nodes, graph.masses, weights)
+    return _dropped(graph, *_cells(graph, pairs))
 
 
 def validate_boundedness(graph: Graph) -> float:

@@ -306,7 +306,7 @@ def heat_diff(
     result = _coarsening(graph, cluster_set, mode, result)
     lap = _scaled_laplacian(result, beta)
     full = _heat(lap, graph.masses, t, lambda: is_undirected(graph)
-                 and is_undirected(result.cluster_set.subgraph()))
+                 and result.cluster_set.symmetric)
     reduced = result.reduced
     full -= result.up @ _heat(result.reduced_laplacian, reduced.masses, t,
                               lambda: is_undirected(reduced)) @ result.down

@@ -47,6 +47,13 @@ three slower routes kept in ``tests/oracles.py``: that node-by-node
 elimination, explicit enumeration of spanning out-trees and diagonal
 cofactors of the reach-restricted matrix.
 
+A cabal whose restricted weights equal their transpose exactly skips the
+elimination and gets the constant vector, normalized by the cabal's mass,
+as in :func:`kernels_undirected`.  Proof: W = W^T gives
+1^T (diag(W 1) - W) = (W 1)^T - (W^T 1)^T = 0, and a strongly connected
+cabal's null space is one-dimensional.  The basis gate checks it as it
+checks every other.
+
 The Riesz projector onto the kernel multiplies out the biorthogonal pairs,
 P = sum_R (right_R)(left_R * m)^T.  It annihilates the cluster Laplacian on
 both sides and its rank is the number of reaches; a gate checks both, with
@@ -304,7 +311,8 @@ def _tree_vectors(
             continue
         order, W = _restricted_weights(sub, reach.cabal)
         vec = np.zeros(sub.n)
-        vec[[index[v] for v in order]] = _gth_null_vector(W)
+        # symmetric weights make every node's tree weight the same
+        vec[[index[v] for v in order]] = 1.0 if np.array_equal(W, W.T) else _gth_null_vector(W)
         total = float(vec @ sub.masses)
         if not total > 0.0:
             raise KernelDefect(

@@ -21,6 +21,7 @@ TOL_RIESZ_CROSS = 1e-8       # closed form vs contour oracle
 TOL_TRANSPORT = 1e-12        # probability transport conservation
 TOL_WEIGHT_VECTOR = 1e-10    # relative agreement of the two weight-vector routes
 TOL_GTH_ORDER = 1e-13        # panel against one-node-at-a-time GTH, componentwise relative
+TOL_SYMMETRIC_TREE = 16.0    # symmetric cabal: closed form vs GTH, componentwise, in units of eps
 TOL_SWEEP_ELIMINATION = 1e-10  # sweep vs per-beta resolvent_diff, relative, beta <= 1e4
 TOL_OPNORM = 1e-13           # weighted operator norm vs the SVD's top singular value
 TOL_ORACLE = 1e-11           # harness vs the whole-matrix oracle, relative, beta <= 1e4

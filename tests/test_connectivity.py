@@ -18,7 +18,7 @@ from lapcoarse.errors import (
     UnknownEdge,
     UnknownNode,
 )
-from lapcoarse.graph import build_graph, transpose
+from lapcoarse.graph import build_graph, is_undirected, transpose
 from oracles import components_by_union_find, reachable_set, transpose_cluster_set
 
 
@@ -255,3 +255,24 @@ def test_transpose_cluster_set_reverses_every_edge():
     assert tcs.mode == "directed"
     assert tcs.total_edges == {("3", "2")}
     assert tcs.graph == transpose(g)
+
+
+def test_cluster_cells_list_the_edges_and_tell_whether_they_are_symmetric():
+    """The cells are the total edges, and answer ``symmetric`` as the built subgraph does."""
+    rng = np.random.default_rng(341)
+    answers = []
+    for k in range(300):
+        undirected = k % 2 == 0
+        g = S.random_graph(rng, max_nodes=7, undirected=undirected, weight_range=(1.0, 2.0))
+        pairs = S.random_cluster_pairs(rng, g, undirected=undirected and k % 4 == 0)
+        cs = build_cluster_set(g, pairs + pairs[:1], "directed")
+        rows, cols = cs.cells
+        assert not rows.flags.writeable and not cols.flags.writeable
+        assert np.all(np.diff(rows * g.n + cols) > 0)
+        assert {(g.nodes[j], g.nodes[i]) for i, j in zip(rows, cols)} == cs.total_edges
+        answers.append(is_undirected(cs.subgraph()))
+        assert cs.symmetric == answers[-1]
+        assert build_cluster_set(g, [], "directed").symmetric
+    # both orientations are cluster edges, with weights 7 and 11
+    assert not S.hub_pair_cluster(S.hub_pair()).symmetric
+    assert 0.2 < np.mean(answers) < 0.8

@@ -11,6 +11,7 @@ from lapcoarse.errors import (
     NonPositiveMass,
     NonPositiveWeight,
     NotUndirected,
+    ShapeMismatch,
     UnknownEndpoint,
 )
 from lapcoarse.graph import (
@@ -24,6 +25,8 @@ from lapcoarse.graph import (
     transpose,
     validate_boundedness,
 )
+from lapcoarse.coarsen import coarsen
+from lapcoarse.connectivity import build_cluster_set
 from lapcoarse.numerics import weighted_opnorm
 from oracles import dirichlet_form, from_weight_matrix, laplacian_three_pass, scale_edges
 
@@ -91,6 +94,62 @@ def test_graph_copies_its_arrays_and_drops_self_loops():
     assert masses.tolist() == [1.0, 2.0] and weights.tolist() == [[5.0, 1.0], [2.0, 0.0]]
     masses[0] = 9.0
     assert g.masses.tolist() == [1.0, 2.0]
+
+
+def test_the_public_constructor_copies_the_callers_weights():
+    weights = np.array([[0.0, 1.0], [2.0, 0.0]])
+    g = Graph(("a", "b"), [1.0, 1.0], weights)
+    weights[0, 1] = 9.0
+    assert g.weights.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    assert not np.shares_memory(g.weights, weights)
+
+
+def derived_graphs():
+    """A graph from an edge list and every graph the package derives from it."""
+    g = S.hub_pair(w13=2.0)
+    cs = build_cluster_set(g, S.HUB_PAIR_CLUSTER, "directed")
+    return {
+        "build_graph": g,
+        "transpose": transpose(g),
+        "restrict_edges": restrict_edges(g, S.HUB_PAIR_CLUSTER),
+        "drop_edges": drop_edges(g, S.HUB_PAIR_CLUSTER),
+        "subgraph": cs.subgraph(),
+        "background": cs.background(),
+        "reduced in": coarsen(g, cs, "in").reduced,
+        "reduced out": coarsen(g, cs, "out").reduced,
+    }
+
+
+def test_derived_graphs_own_read_only_arrays():
+    """No writable array holds a derived graph's data, and no two graphs share weights."""
+    graphs = derived_graphs()
+    for name, g in graphs.items():
+        for array in (g.masses, g.weights):
+            owner = array
+            while isinstance(owner, np.ndarray):
+                assert not owner.flags.writeable, name
+                owner = owner.base
+        assert g.weights.flags.c_contiguous, name
+        for other_name, other in graphs.items():
+            if other_name != name:
+                assert not np.shares_memory(g.weights, other.weights), (name, other_name)
+
+
+@pytest.mark.parametrize("masses, weights, error", [
+    ([1.0, 1.0], [[0.0, np.nan], [0.0, 0.0]], NonPositiveWeight),
+    ([1.0, 1.0], [[0.0, -1.0], [0.0, 0.0]], NonPositiveWeight),
+    ([1.0, 1.0], [[0.0, np.inf], [0.0, 0.0]], NonPositiveWeight),
+    ([1.0, np.nan], [[0.0, 1.0], [0.0, 0.0]], NonPositiveMass),
+    ([1.0, -1.0], [[0.0, 1.0], [0.0, 0.0]], NonPositiveMass),
+    ([1.0, 1.0, 1.0], [[0.0, 1.0], [0.0, 0.0]], ShapeMismatch),
+], ids=["nan weight", "negative weight", "inf weight", "nan mass", "negative mass", "shape"])
+def test_the_private_constructor_validates_as_the_public_one(masses, weights, error):
+    raised = []
+    for make in (Graph, Graph._adopt):
+        with pytest.raises(error) as info:
+            make(("a", "b"), np.array(masses), np.array(weights))
+        raised.append(str(info.value))
+    assert raised[0] == raised[1]
 
 
 def test_self_loops_cancel_from_both_laplacians():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import support as S
-from support import TOL_GTH_ORDER, TOL_WEIGHT_VECTOR
+from support import TOL_GTH_ORDER, TOL_SYMMETRIC_TREE, TOL_WEIGHT_VECTOR
+from lapcoarse.coarsen import coarsen
 from lapcoarse.connectivity import build_cluster_set, reaches
 from lapcoarse.errors import ClusterViolation
 from lapcoarse.graph import build_graph, laplacian, transpose
@@ -194,6 +195,139 @@ def test_panel_gth_matches_the_sequential_loop_componentwise(k, monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(kernels, "_GTH_PANEL", 1)
             assert np.array_equal(kernels._gth_null_vector(W), want)
+
+
+EPS = np.finfo(float).eps
+
+
+def cabal_graph(rng, blocks):
+    """Strongly connected cluster blocks joined one way by unit background arrows.
+
+    ``blocks`` lists ``(k, symmetric)``: k nodes whose weights are those of
+    :func:`strongly_connected_weights` at density 0.5, plus their transpose
+    when symmetric.  Each block is then a reach and its own cabal, in both
+    orientations.  Masses are drawn from [0.5, 2].  Returns the graph and the
+    cluster pairs, every block edge.
+    """
+    names, edges = [], []
+    for b, (k, symmetric) in enumerate(blocks):
+        block = [f"b{b}n{i:03d}" for i in range(k)]
+        W = strongly_connected_weights(rng, k, 0.5)
+        if symmetric:
+            W = W + W.T
+        heads, tails = np.nonzero(W)
+        edges += [(block[j], block[i], float(W[i, j])) for i, j in zip(heads, tails)]
+        if names:
+            edges.append((names[-1], block[0], 1.0))
+        names += block
+    cluster = [(s, d) for s, d, _ in edges if s[:2] == d[:2]]
+    masses = rng.uniform(0.5, 2.0, len(names))
+    return build_graph(zip(names, masses.tolist()), edges), cluster
+
+
+def tree_columns(g, cs, kind):
+    """``kind``'s basis, the subgraph whose cabals its tree vectors weigh, and their family."""
+    if kind == "in":
+        return kernels_in(g, cs), cs.subgraph(), "left"
+    return kernels_out(g, cs), transpose(cs.subgraph()), "right"
+
+
+@pytest.fixture
+def gth_calls(monkeypatch):
+    """The number of nodes of each cabal sent to GTH elimination."""
+    calls, real = [], kernels._gth_null_vector
+
+    def spy(W):
+        calls.append(W.shape[0])
+        return real(W)
+
+    monkeypatch.setattr(kernels, "_gth_null_vector", spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["in", "out"])
+def test_symmetric_cabals_get_the_gth_vector_in_closed_form(kind):
+    """On symmetric weights the constant vector is GTH's answer entry by entry, within a few eps."""
+    rng = np.random.default_rng(221)
+    heavy = S.heavy_cycle(120)
+    for g, cluster in [cabal_graph(rng, [(k, True) for k in (2, 3, 33, 150)]), heavy]:
+        cs = build_cluster_set(g, cluster, "directed")
+        basis, sub, family = tree_columns(g, cs, kind)
+        vectors, checked = getattr(basis, family), 0
+        for col, reach in enumerate(basis.decomposition):
+            if len(reach.cabal) == 1:
+                continue
+            order, W = kernels._restricted_weights(sub, reach.cabal)
+            assert np.array_equal(W, W.T)
+            idx = [g.index(v) for v in order]
+            want = kernels._gth_null_vector(W)
+            want /= want @ g.masses[idx]
+            got = vectors[idx, col]
+            assert np.all(np.abs(got - want) <= TOL_SYMMETRIC_TREE * EPS * want)
+            assert np.count_nonzero(vectors[:, col]) == len(idx)
+            checked += 1
+        assert checked == (4 if g is not heavy[0] else 1)
+
+
+def test_gth_runs_once_per_cabal_that_is_not_symmetric(gth_calls):
+    rng = np.random.default_rng(222)
+    g, cluster = cabal_graph(rng, [(3, True), (40, False), (5, True), (70, False)])
+    cs = build_cluster_set(g, cluster, "directed")
+    for build in (kernels_in, kernels_out):
+        gth_calls.clear()
+        build(g, cs)
+        assert sorted(gth_calls) == [40, 70]
+    g, cluster = cabal_graph(rng, [(3, True), (40, True), (2, True)])
+    cs = build_cluster_set(g, cluster, "directed")
+    gth_calls.clear()
+    for mode in ("in", "out"):
+        coarsen(g, cs, mode)
+    assert gth_calls == []
+
+
+def test_a_cabal_one_rounding_from_symmetric_goes_to_gth(gth_calls):
+    """Symmetry is exact equality: one weight scaled by 1 + 2^-52 is directed."""
+    rng = np.random.default_rng(223)
+    g, cluster = cabal_graph(rng, [(6, True)])
+    edges = [(s, d, w * (1.0 + 2.0 ** -52) if k == 0 else w)
+             for k, (s, d, w) in enumerate(g.edges())]
+    g = build_graph(zip(g.nodes, g.masses.tolist()), edges)
+    assert not np.array_equal(g.weights, g.weights.T)
+    cs = build_cluster_set(g, cluster, "directed")
+    for build in (kernels_in, kernels_out):
+        gth_calls.clear()
+        build(g, cs)
+        assert gth_calls == [6]
+
+
+@pytest.mark.parametrize("k", [120, 400])
+def test_heavy_directed_cycle_goes_to_gth_and_matches_its_one_tree(k, gth_calls):
+    """A one-way cycle of weights near 1e3, whose k-fold tree products overflow.
+
+    The one spanning out-tree rooted at a node leaves out the arrow into it
+    (in kind), or out of it (out kind, on the transpose), so the tree vector
+    is proportional to the reciprocal of that arrow's weight.
+    """
+    rng = np.random.default_rng(k)
+    names = [f"c{i:03d}" for i in range(k)]
+    u = 1e3 * rng.uniform(0.5, 2.0, k)
+    edges = [(names[i], names[(i + 1) % k], float(u[i])) for i in range(k)]
+    cluster = [(s, d) for s, d, _ in edges]
+    masses = rng.uniform(0.5, 2.0, k + 1)
+    g = build_graph(zip(names + ["x"], masses.tolist()), edges + S.sym("x", names[0]))
+    cs = build_cluster_set(g, cluster, "directed")
+    idx = [g.index(v) for v in names]
+    for kind, arrow in (("in", np.roll(u, 1)), ("out", u)):
+        gth_calls.clear()
+        basis, _, family = tree_columns(g, cs, kind)
+        assert gth_calls == [k]
+        col = next(c for c, reach in enumerate(basis.decomposition) if len(reach.cabal) == k)
+        want = (1.0 / arrow) / ((1.0 / arrow) @ g.masses[idx])
+        got = getattr(basis, family)[idx, col]
+        assert np.all(np.abs(got - want) <= TOL_WEIGHT_VECTOR * want)
+        gth_calls.clear()
+        assert coarsen(g, cs, kind).size == 2
+        assert gth_calls == [k]
 
 
 @pytest.mark.parametrize("seed", [11, 12, 13, 14, 15])
