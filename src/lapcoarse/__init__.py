@@ -32,7 +32,6 @@ from .graph import (
     degrees,
     is_undirected,
     laplacian,
-    transpose,
     validate_boundedness,
 )
 from .harness import (
@@ -92,6 +91,5 @@ __all__ = [
     "serialize_sweep",
     "sweep",
     "sweep_csv",
-    "transpose",
     "validate_boundedness",
 ]

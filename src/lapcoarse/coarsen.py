@@ -19,11 +19,20 @@ conserved, and the reduced-graph Laplacian equals the compression
 down @ L_background @ up exactly (:class:`Graph` drops the self-loops
 that contraction creates; they never enter a Laplacian).  The compression
 identity is recomputed on every call and cross-checked against the
-Laplacian assembled from the reduced graph itself.  From 10^4 entries on,
-every product with down and up is taken on the two blocks of the basis'
-:class:`ClusterSplit`: the cluster nodes against the reaches on them, and
-an elementwise outside diagonal, read from the arrays rather than assumed
-to be 1.
+Laplacian assembled from the reduced graph itself.
+
+The graph is read by blocks: the kernel builders read the cluster cells,
+and the assembly reads ``graph.weights`` once, as the rows of the cluster
+nodes (with the cluster cells set to zero) and the rows of the others.
+The aggregate weights are one product over those background rows; the
+rows are then turned in place into the background Laplacian's, and the
+compression is a second product over them.  No n x n subgraph,
+background graph, transposed graph or Laplacian is formed.  From 10^4
+entries on, every product with down and up is taken on the two blocks of
+the basis' :class:`ClusterSplit`: the cluster nodes against the reaches
+on them, and an elementwise outside diagonal, read from the arrays rather
+than assumed to be 1.  Below that, the background weights and their
+Laplacian are taken whole, one n x n array each, and multiplied whole.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .errors import (
     NotUndirected,
     ReductionMismatch,
 )
-from .graph import Graph, is_undirected, laplacian
+from .graph import Graph, _laplacian, is_undirected, laplacian
 from .kernels import ClusterSplit, KernelBasis, kernels_in, kernels_out, kernels_undirected
 from .numerics import (
     TOL_AGGREGATE,
@@ -126,44 +135,99 @@ def _aggregate_edges(aggregate: np.ndarray) -> np.ndarray:
     return np.where(aggregate > tol, aggregate, 0.0)
 
 
+def _background(graph: Graph, cluster_set: ClusterSet, split: ClusterSplit):
+    """``graph.weights`` without the cluster cells, as new arrays.
+
+    Whole when the split is :attr:`~ClusterSplit.whole`, and otherwise its
+    inside rows and its outside rows, as :meth:`ClusterSplit.sandwich`
+    takes them.  The cluster cells all lie on inside rows.
+    """
+    rows, cols = cluster_set.cells
+    if split.whole:
+        whole = graph.weights.copy()
+        whole[rows, cols] = 0.0
+        return whole
+    top = graph.weights.take(split.inside, axis=0)
+    top[np.searchsorted(split.inside, rows), cols] = 0.0
+    return top, graph.weights.take(split.outside, axis=0)
+
+
+def _background_laplacian(background, masses: np.ndarray, split: ClusterSplit, kind):
+    """The Laplacian of ``kind`` of :func:`_background`, in the same form.
+
+    The rows of a split background are turned into the Laplacian's in place.
+    """
+    if split.whole:
+        return _laplacian(background, masses, background.sum(axis=1 if kind == "in" else 0))
+    top, below = background
+    if kind == "in":
+        deg = np.empty(len(masses))
+        deg[split.inside], deg[split.outside] = top.sum(axis=1), below.sum(axis=1)
+    else:
+        deg = top.sum(axis=0) + below.sum(axis=0)
+    for block, nodes in ((top, split.inside), (below, split.outside)):
+        # w / -m is -(w / m) in one pass; absent entries become -0, which no
+        # sum of the compression tells from +0
+        np.divide(block, -masses[nodes, np.newaxis], out=block)
+        block[np.arange(len(nodes)), nodes] = deg[nodes] / masses[nodes]
+    return top, below
+
+
+def _products(
+    mode: CoarsenMode, graph: Graph, cluster_set: ClusterSet, basis: KernelBasis,
+    coarse_mass: np.ndarray, down: np.ndarray, up: np.ndarray, perm: list[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """The aggregate weights, and the compression ``down @ L_background @ up``.
+
+    Two products over the background, which the cross-check compares, both
+    with their reduced nodes in the order ``perm``.
+    """
+    split, right, left = basis.split, basis.right, basis.left
+    background = _background(graph, cluster_set, split)
+    if mode == "undirected":
+        # Indicator block sums, mirrored so the reduced graph is exactly
+        # symmetric: mass * (W / mass) is not when 1 / mass is inexact, and
+        # a block and its transpose are summed in different orders.
+        aggregate = split.sandwich(right, background, right, perm)
+        aggregate = 0.5 * (aggregate + aggregate.T)
+    elif basis.kind == "in":
+        aggregate = coarse_mass[perm, None] * split.sandwich(left, background, right, perm)
+    else:
+        aggregate = split.sandwich(left, background, right, perm) * coarse_mass[None, perm]
+    lap = _background_laplacian(background, graph.masses, split, basis.kind)
+    return aggregate, split.sandwich(down.T, lap, up, perm)
+
+
 def _assemble(
     mode: CoarsenMode, graph: Graph, cluster_set: ClusterSet, basis: KernelBasis
 ) -> CoarseningResult:
     kind = basis.kind
     right, left = basis.right, basis.left
     masses = graph.masses
+    # down is made row-major, where a transposed product would need a strided copy
+    down = np.multiply(left.T, masses, order="C")
     if kind == "in":
         coarse_mass = right.T @ masses
-        down = (left * masses[:, None]).T
         up = right
     else:
         coarse_mass = left.T @ masses
-        down = (left * masses[:, None]).T / coarse_mass[:, None]
+        down /= coarse_mass[:, None]
         up = right * coarse_mass[None, :]
     if not np.all(coarse_mass > 0.0):
         raise ReductionMismatch("a reduced node received non-positive mass")
-    background = cluster_set.background()
-    split = basis.split
-    if mode == "undirected":
-        # Indicator block sums, mirrored so the reduced graph is exactly
-        # symmetric: mass * (W / mass) is not when 1 / mass is inexact, and
-        # a block and its transpose are summed in different orders.
-        aggregate = split.sandwich(right, background.weights, right)
-        aggregate = 0.5 * (aggregate + aggregate.T)
-    elif kind == "in":
-        aggregate = coarse_mass[:, None] * split.sandwich(left, background.weights, right)
-    else:
-        aggregate = split.sandwich(left, background.weights, right) * coarse_mass[None, :]
-    labels = [r.label for r in basis.decomposition]
+    members = [tuple(sorted(reach.nodes)) for reach in basis.decomposition]
+    labels = ["+".join(nodes) for nodes in members]
     # the reduced graph's node ids are sorted; perm takes them from ``labels``
     perm = sorted(range(len(labels)), key=labels.__getitem__)
-    weights = _aggregate_edges(aggregate).take(perm, axis=0).take(perm, axis=1)
+    aggregate, compressed = _products(
+        mode, graph, cluster_set, basis, coarse_mass, down, up, perm)
+    weights = _aggregate_edges(aggregate)
     reduced = Graph._adopt(tuple(labels[k] for k in perm), coarse_mass[perm], weights)
-    compressed = split.sandwich(down.T, laplacian(background, kind), up)
-    down, up, split = down[perm], up[:, perm], split.permuted(perm)
-    compressed = compressed.take(perm, axis=0).take(perm, axis=1)
+    if perm != sorted(perm):
+        down = down[perm]
+    up, split = up[:, perm], basis.split.permuted(perm)
     lap = _cross_check(mode, graph, down, up, reduced, compressed, kind, split)
-    node_map = {labels[k]: tuple(sorted(basis.decomposition.reaches[k].nodes)) for k in perm}
+    node_map = {labels[k]: members[k] for k in perm}
     return CoarseningResult(
         mode, graph, cluster_set, reduced, down, up, lap, node_map, basis, split
     )

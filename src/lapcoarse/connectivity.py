@@ -16,6 +16,7 @@ in both modes; undirected mode only adds that the subset be symmetric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -37,12 +38,10 @@ ClusterMode = Literal["undirected", "directed"]
 EdgePair = tuple[str, str]
 
 
-def _drawn_successors(graph: Graph) -> list[list[int]]:
-    """Adjacency lists following drawn arrows: x -> y iff W[y, x] > 0."""
-    # a 1-D nonzero and a sort of the few arrows beat a 2-D nonzero scan
-    heads, tails = np.divmod(np.flatnonzero(graph.weights != 0.0), graph.n)
-    ends = np.cumsum(np.bincount(tails, minlength=graph.n)).tolist()
-    flat = heads[np.argsort(tails, kind="stable")].tolist()
+def _drawn_successors(n: int, heads: np.ndarray, tails: np.ndarray) -> list[list[int]]:
+    """Adjacency lists of n nodes with the drawn arrows ``tails -> heads``, heads ascending."""
+    ends = np.cumsum(np.bincount(tails, minlength=n)).tolist()
+    flat = heads[np.lexsort((heads, tails))].tolist()
     return [flat[start:end] for start, end in zip([0] + ends, ends)]
 
 
@@ -134,14 +133,46 @@ def reaches(graph: Graph) -> ReachDecomposition:
     outside) are the cabals; each reach is everything reachable from its
     cabal.
     """
-    adj = _drawn_successors(graph)
+    # a 1-D nonzero and a sort of the few arrows beat a 2-D nonzero scan
+    heads, tails = np.divmod(np.flatnonzero(graph.weights != 0.0), graph.n)
+    return _arrow_reaches(graph.nodes, heads, tails)
+
+
+def _arrow_reaches(
+    nodes: Sequence[str], heads: np.ndarray, tails: np.ndarray
+) -> ReachDecomposition:
+    """:func:`reaches` of the graph on ``nodes`` whose drawn arrows are ``tails -> heads``.
+
+    Only the nodes an arrow touches are searched, in ascending order, so
+    their reaches come out as in a search of all nodes; every other node is
+    a one-node reach.
+    """
+    # a mask, where np.unique would import numpy.ma into every CLI process
+    alone = np.ones(len(nodes), dtype=bool)
+    alone[heads] = False
+    alone[tails] = False
+    touched = np.flatnonzero(~alone)
+    adj = _drawn_successors(
+        len(touched), np.searchsorted(touched, heads), np.searchsorted(touched, tails)
+    )
+    names = [nodes[v] for v in touched.tolist()]
+    built = _touched_reaches(names, adj)
+    for v in np.flatnonzero(alone).tolist():
+        single = frozenset((nodes[v],))
+        built.append(Reach(single, single, single, frozenset()))
+    built.sort(key=lambda r: min(r.nodes))
+    return ReachDecomposition(tuple(built))
+
+
+def _touched_reaches(names: list[str], adj: list[list[int]]) -> list[Reach]:
+    """The reaches of the nodes ``names`` with adjacency lists ``adj``, in search order."""
     sccs = _tarjan_sccs(adj)
-    comp_of = [0] * graph.n
+    comp_of = [0] * len(adj)
     for ci, comp in enumerate(sccs):
         for v in comp:
             comp_of[v] = ci
     has_incoming = [False] * len(sccs)
-    for x in range(graph.n):
+    for x in range(len(adj)):
         for y in adj[x]:
             if comp_of[x] != comp_of[y]:
                 has_incoming[comp_of[y]] = True
@@ -159,8 +190,8 @@ def reaches(graph: Graph) -> ReachDecomposition:
                     stack.append(y)
         raw.append(
             (
-                frozenset(graph.nodes[v] for v in seen),
-                frozenset(graph.nodes[v] for v in comp),
+                frozenset(names[v] for v in seen),
+                frozenset(names[v] for v in comp),
             )
         )
     counts: dict[str, int] = {}
@@ -173,8 +204,7 @@ def reaches(graph: Graph) -> ReachDecomposition:
         built.append(
             Reach(node_set, cabal, exclusive, node_set - exclusive)
         )
-    built.sort(key=lambda r: min(r.nodes))
-    return ReachDecomposition(tuple(built))
+    return built
 
 
 def _symmetric_pairs(pairs: Iterable[EdgePair]) -> frozenset[EdgePair]:
@@ -199,9 +229,8 @@ def connected_components(
     """
     if pairs is None:
         pairs = graph.edge_pairs()
-    pair_set = _symmetric_pairs(pairs)
-    subgraph = _restricted(graph, *_cluster_cells(graph, pair_set))
-    return tuple(reach.nodes for reach in reaches(subgraph))
+    rows, cols = _cluster_cells(graph, _symmetric_pairs(pairs))
+    return tuple(reach.nodes for reach in _arrow_reaches(graph.nodes, rows, cols))
 
 
 def _cluster_cells(graph: Graph, pairs: Iterable[EdgePair]) -> tuple[np.ndarray, np.ndarray]:
@@ -231,9 +260,15 @@ class ClusterSet:
     common part), including edgeless singleton reaches, so its node sets
     cover V.  ``cells`` holds ``total_edges`` as two read-only index arrays
     into ``graph.weights``, rows (heads) and columns (tails), one entry per
-    edge in ascending row-major order; :meth:`subgraph` and
-    :meth:`background` write through them.  They are derived from
+    edge in ascending row-major order.  They are derived from
     ``total_edges``, so equality and hashing leave them out.
+
+    Both reach decompositions are read from the cells alone: only the
+    cluster nodes are searched, since every other node is a one-node
+    reach, and :attr:`transposed_decomposition` swaps rows and columns.
+    Coarsening reads the cluster subgraph only through the cells; the
+    n x n :meth:`subgraph` and :meth:`background` are built for callers
+    that want whole graphs.
     """
 
     mode: ClusterMode
@@ -266,6 +301,12 @@ class ClusterSet:
         n, weights = self.graph.n, self.graph.weights
         return bool(np.array_equal(np.sort(cols * n + rows), rows * n + cols)
                     and np.array_equal(weights[rows, cols], weights[cols, rows]))
+
+    @cached_property
+    def transposed_decomposition(self) -> ReachDecomposition:
+        """The reach decomposition of the transposed cluster subgraph, made on first use."""
+        rows, cols = self.cells
+        return _arrow_reaches(self.graph.nodes, cols, rows)
 
     def subgraph(self) -> Graph:
         """Parent graph restricted to the cluster edges."""
@@ -324,7 +365,7 @@ def build_cluster_set(
         if mode == "undirected" and nodes & seen:
             raise ClustersShareNodes(f"clusters share nodes {sorted(nodes & seen)}")
         seen |= nodes
-    decomposition = reaches(_restricted(graph, *cells))
+    decomposition = _arrow_reaches(graph.nodes, *cells)
     member: dict[str, list[int]] = {}
     for k, reach in enumerate(decomposition):
         for v in reach.nodes:

@@ -206,11 +206,19 @@ def laplacian(graph: Graph, kind: Kind = IN) -> np.ndarray:
     kind ``"out"``.  For kind ``"in"`` it annihilates the all-ones vector;
     for kind ``"out"`` the mass-weighted column sums vanish instead.
     """
-    deg = degrees(graph, kind)
+    return _laplacian(graph.weights, graph.masses, degrees(graph, kind))
+
+
+def _laplacian(weights: np.ndarray, masses: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """``M^-1 (diag(deg) - W)`` for square weights, as a new read-only array.
+
+    :func:`laplacian` of a whole graph, or of a block on the diagonal
+    given the degrees of its rows.
+    """
     # 0 - W keeps absent entries +0, where negating would make them -0
-    mat = np.subtract(0.0, graph.weights)
-    mat /= graph.masses[:, np.newaxis]
-    np.fill_diagonal(mat, deg / graph.masses)
+    mat = np.subtract(0.0, weights)
+    mat /= masses[:, np.newaxis]
+    np.fill_diagonal(mat, deg / masses)
     mat.setflags(write=False)
     return mat
 

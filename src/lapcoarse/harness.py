@@ -72,6 +72,8 @@ from .numerics import (
     TOL_HEAT_INVARIANT,
     TOL_LEMMA_EQUALITY,
     TOL_Z_CLEARANCE,
+    _as_matrix,
+    _opnorm,
     eigvals,
     heat_residual,
     inverse,
@@ -248,7 +250,7 @@ def _resolvent_diffs(
         centres[inside] = top + (m - 1.0) * cluster
         certified = _guard_z(z, centres, lambda: _scaled_laplacian(result, m))
         sigma_inv = inverse(m * k_a + k_b, certified and reduced_certified)
-        diffs.append(weighted_opnorm(r_y @ sigma_inv @ c, np.ones(len(c))))
+        diffs.append(_opnorm(_as_matrix(r_y @ sigma_inv @ c)))
     return diffs
 
 

@@ -13,7 +13,9 @@ operators from them.  Three builders produce one:
   supported on the cabal, normalized to unit mass pairing.  The right
   family is a partition of unity.
 * :func:`kernels_out`: the same machinery applied to the transposed
-  subgraph, with the roles of the two families exchanged.
+  subgraph, with the roles of the two families exchanged.  Its reaches
+  are the cluster set's transposed decomposition, and its weights the
+  transpose of the p x p block below.
 * :func:`kernels_undirected`: the in-degree basis of a symmetric cluster
   edge set in closed form.  Its reaches are connected components, the
   right vectors are their indicators and, since symmetric weights make
@@ -24,12 +26,18 @@ Every reach with more than one node lies on the cluster nodes (those that
 touch a cluster edge), and every other node is a one-node reach of its
 own.  So a basis is zero off two blocks, recorded in a
 :class:`ClusterSplit`: the cluster nodes against the reaches on them, and
-the diagonal of the outside nodes against their own reaches.  From 10^4
-entries on, the gates and the products built on a basis work on those
-blocks, so the k reaches on the cluster nodes cost O(n^2 k) and the
-outside diagonal is elementwise, where whole arrays cost O(n^2 K) for all
-K reduced nodes.  This is the nearly decomposable structure of Courtois
-(1977).
+the diagonal of the outside nodes against their own reaches.  This is the
+nearly decomposable structure of Courtois (1977).  The builders read the
+graph only by blocks: the cluster cells (``ClusterSet.cells``) are
+scattered into the p x p weights of the p cluster nodes, and the cluster
+Laplacian there (:attr:`KernelBasis.cluster_block`) is those weights over
+the inside masses; it vanishes off that block.  The basis gate multiplies
+the block by the p x k cores of the k reaches on the cluster nodes.  From
+10^4 entries on, the pairing of the two families and the products built
+on a basis also work on the two blocks, at O(n^2 k) for the cores and
+elementwise on the outside diagonal, where whole arrays cost O(n^2 K) for
+all K reduced nodes.  Only ``right`` and ``left`` themselves are dense
+n x K arrays.
 
 The weight vector of a reach is supported on its cabal.  By the Markov
 chain tree theorem it spans the left null space of the cabal's restricted
@@ -65,24 +73,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
-from .connectivity import ClusterSet, ReachDecomposition, reaches
+from .connectivity import ClusterSet, ReachDecomposition
 from .errors import (
     ClusterViolation, KernelDefect, ProjectorDefect, SingularCommonBlock, SingularMatrix,
 )
-from .graph import Graph, Kind, laplacian, transpose
+from .graph import Graph, Kind, _laplacian
 from .numerics import TOL_DEFECT, require, solve
 
 __all__ = ["KernelBasis", "kernels_in", "kernels_out", "riesz_from_kernels"]
-
-
-def _restricted_weights(graph: Graph, nodes: Iterable[str]):
-    order = sorted(nodes)
-    idx = [graph.index(v) for v in order]
-    return order, graph.weights[np.ix_(idx, idx)]
 
 
 # Below this many entries in an n x K array, whole-array products cost less
@@ -132,7 +133,9 @@ class ClusterSplit:
         return np.array([self._single[v] for v in self.nodes if v in self._single], dtype=int)
 
     def core(self, vectors: np.ndarray) -> np.ndarray:
-        return vectors.take(self.reaches, axis=1).take(self.inside, axis=0)
+        # one gather, where two takes cost several times more on the
+        # column-major arrays a transpose or a column permutation gives
+        return vectors[np.ix_(self.inside, self.reaches)]
 
     def diagonal(self, vectors: np.ndarray) -> np.ndarray:
         return vectors[self.outside, self.singles]
@@ -143,21 +146,48 @@ class ClusterSplit:
         on = np.count_nonzero(core) + np.count_nonzero(diagonal)
         return core, diagonal, int(np.count_nonzero(vectors) - on)
 
-    def sandwich(self, x: np.ndarray, matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """``x.T @ matrix @ y`` for n x K arrays ``x`` and ``y`` split this way."""
-        if x.size < _BLOCKS_FROM:
-            return x.T @ matrix @ y
-        r, s, o, k = self.reaches, self.singles, self.outside, len(self.reaches)
+    @cached_property
+    def whole(self) -> bool:
+        """True when the n x K arrays are small enough to be multiplied whole."""
+        return len(self.nodes) * len(self.parts) < _BLOCKS_FROM
+
+    def sandwich(
+        self, x: np.ndarray, matrix, y: np.ndarray, order: list[int]
+    ) -> np.ndarray:
+        """``x.T @ matrix @ y`` for n x K arrays ``x`` and ``y`` split this way.
+
+        ``matrix`` is the n x n array when the arrays are :attr:`whole`, and
+        otherwise the pair of its inside rows and its outside rows.  The
+        result's rows and columns are those of ``x`` and ``y`` in ``order``.
+        """
+        if self.whole:
+            return (x.T @ matrix @ y).take(order, axis=0).take(order, axis=1)
+        top, below = matrix
+        r, s, o = self.reaches, self.singles, self.outside
+        # each column's place in the result, and the outside node of each
+        # one-node reach by its place; the reach columns are filled in after
+        at = np.empty(len(order), dtype=int)
+        at[order] = np.arange(len(order))
+        at_r, at_s = at[r], at[s]
+        cols = np.zeros(len(order), dtype=int)
+        cols[at_s] = o
+        yo = np.zeros(len(order))
+        yo[at_s] = y[o, s]
         # the reach columns, zero off the inside rows, are multiplied whole
-        xo, yo, yr = x[o, s][:, None], y[o, s], y[:, r]
-        top, below = x[:, r].T @ matrix, matrix[o]
-        out = np.empty((x.shape[1], y.shape[1]), dtype=np.result_type(x, matrix, y))
-        out[:k, :k] = top @ yr
-        out[:k, k:] = top[:, o] * yo
-        out[k:, :k] = xo * (below @ yr)
-        out[k:, k:] = xo * below[:, o] * yo
-        back = np.argsort(np.concatenate([r, s]))
-        return out.take(back, axis=0).take(back, axis=1)
+        xo, yr = x[o, s][:, None], y[:, r]
+        top = self.core(x).T @ top
+        out = np.empty((x.shape[1], y.shape[1]), dtype=np.result_type(x, top, below, y))
+        # gathered straight into the result's column order, then scaled in place
+        rows = top.take(cols, axis=1)
+        rows *= yo
+        rows[:, at_r] = top @ yr
+        out[at_r] = rows
+        rows = below.take(cols, axis=1)
+        rows *= xo
+        rows *= yo
+        rows[:, at_r] = xo * (below @ yr)
+        out[at_s] = rows
+        return out
 
     def pairing_residual(self, x: np.ndarray, y: np.ndarray) -> float:
         """Largest entry of ``|x.T @ y - I|`` for n x K arrays split this way.
@@ -165,7 +195,7 @@ class ClusterSplit:
         On the blocks, each nonzero (or NaN) entry of ``x`` or ``y`` off
         them adds 1, so that no array the whole product would reject passes.
         """
-        if x.size < _BLOCKS_FROM:
+        if self.whole:
             return float(np.abs(x.T @ y - np.eye(x.shape[1])).max(initial=0.0))
         (x_core, x_diag, x_off), (y_core, y_diag, y_off) = self.blocks(x), self.blocks(y)
         core = x_core.T @ y_core
@@ -176,6 +206,8 @@ class ClusterSplit:
 
     def permuted(self, perm: list[int]) -> ClusterSplit:
         """The split of the same arrays with column j moved from ``perm[j]``."""
+        if perm == sorted(perm):
+            return self
         return ClusterSplit(self.nodes, tuple(self.parts[j] for j in perm))
 
 
@@ -191,7 +223,8 @@ class KernelBasis:
     Columns of ``right`` and ``left`` are indexed by the reaches of
     ``decomposition`` (for the out kind, the reaches of the transposed
     cluster subgraph).  Vectors live on the parent graph's node order.
-    ``split`` gives their two blocks.
+    ``split`` gives their two blocks.  :attr:`cluster_block`, which the
+    harness reads, is built from the cluster cells on first read and kept.
     """
 
     kind: Kind
@@ -204,9 +237,12 @@ class KernelBasis:
 
     @cached_property
     def cluster_block(self) -> np.ndarray:
-        """The cluster Laplacian of ``kind`` on the inside nodes, where it is nonzero."""
-        inside = self.split.inside
-        return laplacian(self.cluster_set.subgraph(), self.kind)[inside[:, None], inside]
+        """The cluster Laplacian of ``kind`` on the inside nodes, where it is nonzero.
+
+        Built from the cluster cells on first read, like the builders' own.
+        """
+        weights = _cluster_weights(self.cluster_set, self.split.inside)
+        return _cluster_laplacian(weights, self.graph, self.split.inside, self.kind)
 
     @property
     def size(self) -> int:
@@ -223,11 +259,51 @@ class KernelBasis:
         return self.left[:, self.labels.index(label)]
 
 
-def _indicator_vectors(
-    matrix: np.ndarray, dec: ReachDecomposition, index: dict[str, int]
+def _cluster_weights(cluster_set: ClusterSet, inside: np.ndarray) -> np.ndarray:
+    """The cluster subgraph's weights on the ascending ``inside`` nodes, scattered from its cells."""
+    rows, cols = cluster_set.cells
+    block = np.zeros((len(inside), len(inside)))
+    block[np.searchsorted(inside, rows), np.searchsorted(inside, cols)] = (
+        cluster_set.graph.weights[rows, cols])
+    return block
+
+
+def _row_sums(block: np.ndarray, inside: np.ndarray, n: int) -> np.ndarray:
+    """Row sums of the ``inside`` block of an n x n array that is zero off it.
+
+    A row of at most two nonzero entries sums to the same value in any
+    order.  A wider one is summed over its n entries, as ``graph.degrees``
+    sums a whole array's rows, so a block Laplacian equals the whole one's
+    block to the bit.
+    """
+    sums = block.sum(axis=1)
+    wide = np.flatnonzero(np.count_nonzero(block, axis=1) > 2)
+    if wide.size:
+        rows = np.zeros((wide.size, n))
+        rows[:, inside] = block[wide]
+        sums[wide] = rows.sum(axis=1)
+    return sums
+
+
+def _cluster_laplacian(
+    weights: np.ndarray, graph: Graph, inside: np.ndarray, kind: Kind
 ) -> np.ndarray:
-    """Columns equal to 1 on exclusive parts, solved on common parts."""
-    out = np.zeros((matrix.shape[0], len(dec)))
+    """``laplacian`` of ``kind`` on the ``inside`` block, from that block's ``weights``."""
+    # numpy adds the rows of a C-ordered array in turn for its column sums,
+    # so the zero rows off the block change none of them
+    deg = _row_sums(weights, inside, graph.n) if kind == "in" else weights.sum(axis=0)
+    return _laplacian(weights, graph.masses[inside], deg)
+
+
+def _indicator_vectors(
+    block: np.ndarray, dec: ReachDecomposition, index: dict[str, int], inside: np.ndarray
+) -> np.ndarray:
+    """Columns equal to 1 on exclusive parts, solved on common parts.
+
+    ``block`` is the Laplacian on the ascending ``inside`` nodes, and
+    ``index`` gives each node's row of the result.
+    """
+    out = np.zeros((len(index), len(dec)))
     for col, reach in enumerate(dec):
         if len(reach.nodes) == 1:
             continue
@@ -235,12 +311,13 @@ def _indicator_vectors(
         C = [index[v] for v in sorted(reach.common)]
         out[H, col] = 1.0
         if C:
+            h, c = np.searchsorted(inside, H), np.searchsorted(inside, C)
             # dividing each row by the block's diagonal leaves the solution
             # unchanged and keeps the pivots independent of the weight scale
-            diag = np.diagonal(matrix)[C, np.newaxis]
-            rhs = -(matrix[np.ix_(C, H)] / diag) @ np.ones(len(H))
+            diag = np.diagonal(block)[c, np.newaxis]
+            rhs = -(block[np.ix_(c, h)] / diag) @ np.ones(len(H))
             try:
-                out[C, col] = solve(matrix[np.ix_(C, C)] / diag, rhs)
+                out[C, col] = solve(block[np.ix_(c, c)] / diag, rhs)
             except SingularMatrix as exc:
                 raise SingularCommonBlock(
                     f"common block of reach {reach.label!r} is singular"
@@ -302,18 +379,25 @@ def _gth_null_vector(W: np.ndarray) -> np.ndarray:
 
 
 def _tree_vectors(
-    sub: Graph, dec: ReachDecomposition, index: dict[str, int]
+    weights: np.ndarray, masses: np.ndarray, dec: ReachDecomposition,
+    index: dict[str, int], inside: np.ndarray,
 ) -> np.ndarray:
-    """Columns of cabal tree weight vectors, each normalized to unit mass sum."""
-    out = np.zeros((sub.n, len(dec)))
+    """Columns of cabal tree weight vectors, each normalized to unit mass sum.
+
+    ``weights`` are the subgraph's weights on the ascending ``inside``
+    nodes, and ``index`` gives each node's row of the result.
+    """
+    out = np.zeros((len(masses), len(dec)))
     for col, reach in enumerate(dec):
         if len(reach.cabal) == 1:
             continue
-        order, W = _restricted_weights(sub, reach.cabal)
-        vec = np.zeros(sub.n)
+        idx = [index[v] for v in sorted(reach.cabal)]
+        local = np.searchsorted(inside, idx)
+        W = weights[np.ix_(local, local)]
+        vec = np.zeros(len(masses))
         # symmetric weights make every node's tree weight the same
-        vec[[index[v] for v in order]] = 1.0 if np.array_equal(W, W.T) else _gth_null_vector(W)
-        total = float(vec @ sub.masses)
+        vec[idx] = 1.0 if np.array_equal(W, W.T) else _gth_null_vector(W)
+        total = float(vec @ masses)
         if not total > 0.0:
             raise KernelDefect(
                 f"tree weight vector of reach {reach.label!r} has non-positive "
@@ -322,32 +406,35 @@ def _tree_vectors(
         out[:, col] = vec / total
     # a one-node cabal's vector is that node's indicator over its mass
     cols, rows = _one_node_columns([reach.cabal for reach in dec], index)
-    out[rows, cols] = 1.0 / sub.masses[rows]
+    out[rows, cols] = 1.0 / masses[rows]
     return out
 
 
 def _check_basis(
-    lap: np.ndarray, masses: np.ndarray, right: np.ndarray, left: np.ndarray,
+    block: np.ndarray, masses: np.ndarray, right: np.ndarray, left: np.ndarray,
     unity: np.ndarray, split: ClusterSplit,
 ) -> None:
-    """Raise KernelDefect unless ``right`` and ``left`` pair into a kernel basis of ``lap``.
+    """Raise KernelDefect unless ``right`` and ``left`` pair into a kernel basis.
 
-    Small arrays are checked whole.  Larger ones are checked on the blocks
-    of ``split``, which is exact because ``lap`` vanishes off the inside
-    nodes and the pairing residual counts every entry off the blocks.
+    ``block`` is the cluster Laplacian on the inside nodes of ``split``.
+    It vanishes elsewhere, so only the inside rows of ``right`` and
+    ``left`` meet it.  Small arrays are checked whole on those rows.
+    Larger ones are checked on the blocks: the block annihilates the
+    one-node reaches' columns, so it multiplies the cores only, and the
+    pairing residual counts every entry off the blocks.
     """
     # scaled before the products, which overflow on extreme masses otherwise
-    lap = lap / max(1.0, float(np.abs(lap).max(initial=0.0)))
+    block = block / max(1.0, float(np.abs(block).max(initial=0.0)))
     weighted = left * masses[:, None]
-    if right.size < _BLOCKS_FROM:
-        cols, sums = slice(None), unity.sum(axis=1)
+    if split.whole:
+        sums = unity.sum(axis=1)
+        right_in, weighted_in = right[split.inside], weighted[split.inside]
     else:
-        # the reach columns vanish off the inside rows; lap annihilates the others
-        cols = split.reaches
         sums = np.concatenate([split.core(unity).sum(axis=1), split.diagonal(unity)])
+        right_in, weighted_in = split.core(right), split.core(weighted)
     residuals = {
-        "right": float(np.abs(lap @ right[:, cols]).max(initial=0.0)),
-        "left": float(np.abs(weighted[:, cols].T @ lap).max(initial=0.0)),
+        "right": float(np.abs(block @ right_in).max(initial=0.0)),
+        "left": float(np.abs(weighted_in.T @ block).max(initial=0.0)),
         "unity": float(np.abs(sums - 1.0).max(initial=0.0)),
         "pairing and off-block entries": split.pairing_residual(weighted, right),
     }
@@ -362,14 +449,15 @@ def _check_graph(graph: Graph, cluster_set: ClusterSet) -> None:
 def kernels_in(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
     """Kernel basis of the in-degree Laplacian of the cluster subgraph."""
     _check_graph(graph, cluster_set)
-    sub = cluster_set.subgraph()
     dec = cluster_set.decomposition
     index = {v: k for k, v in enumerate(graph.nodes)}
-    lap = laplacian(sub, "in")
-    right = _indicator_vectors(lap, dec, index)
-    left = _tree_vectors(sub, dec, index)
     split = _split(graph, dec)
-    _check_basis(lap, graph.masses, right, left, right, split)
+    inside = split.inside
+    weights = _cluster_weights(cluster_set, inside)
+    block = _cluster_laplacian(weights, graph, inside, "in")
+    right = _indicator_vectors(block, dec, index, inside)
+    left = _tree_vectors(weights, graph.masses, dec, index, inside)
+    _check_basis(block, graph.masses, right, left, right, split)
     return KernelBasis("in", graph, cluster_set, dec, right, left, split)
 
 
@@ -378,19 +466,22 @@ def kernels_out(graph: Graph, cluster_set: ClusterSet) -> KernelBasis:
 
     Built on the transposed subgraph: its tree vectors are right kernel
     vectors here and its indicator vectors are left kernel vectors, by the
-    mass-adjoint duality between the two Laplacian orientations.
+    mass-adjoint duality between the two Laplacian orientations.  Its
+    weights are the transposed p x p block and its reaches the cluster
+    set's :attr:`~ClusterSet.transposed_decomposition`.
     """
     _check_graph(graph, cluster_set)
-    sub = cluster_set.subgraph()
-    sub_t = transpose(sub)
-    dec = reaches(sub_t)
+    dec = cluster_set.transposed_decomposition
     index = {v: k for k, v in enumerate(graph.nodes)}
-    lap_t = laplacian(sub_t, "in")
-    right = _tree_vectors(sub_t, dec, index)
-    left = _indicator_vectors(lap_t, dec, index)
     split = _split(graph, dec)
-    lap = laplacian(sub, "out")
-    _check_basis(lap, graph.masses, right, left, left, split)
+    inside = split.inside
+    weights = _cluster_weights(cluster_set, inside)
+    transposed = np.ascontiguousarray(weights.T)
+    right = _tree_vectors(transposed, graph.masses, dec, index, inside)
+    left = _indicator_vectors(
+        _cluster_laplacian(transposed, graph, inside, "in"), dec, index, inside)
+    block = _cluster_laplacian(weights, graph, inside, "out")
+    _check_basis(block, graph.masses, right, left, left, split)
     return KernelBasis("out", graph, cluster_set, dec, right, left, split)
 
 

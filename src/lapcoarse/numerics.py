@@ -223,7 +223,15 @@ def weighted_opnorm(a, masses) -> float:
     is the top eigenvalue from a full symmetric eigensolve (relative
     accuracy eps).
     """
-    sym = mass_symmetrize(a, masses)
+    return _opnorm(mass_symmetrize(a, masses))
+
+
+def _opnorm(sym: np.ndarray) -> float:
+    """Operator 2-norm of the matrix ``sym``, by the route :func:`weighted_opnorm` describes.
+
+    Divides ``sym`` in place by its largest entry.  The caller has checked
+    it with :func:`_as_matrix`, as :func:`mass_symmetrize` does.
+    """
     scale = float(np.abs(sym).max(initial=0.0))
     if scale == 0.0:
         return 0.0

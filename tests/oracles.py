@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from lapcoarse import build_cluster_set, is_undirected, kernels_in, kernels_out, laplacian, transpose
+from lapcoarse import build_cluster_set, is_undirected, kernels_in, kernels_out, laplacian
 from lapcoarse.errors import (
     InvariantViolation,
     NonPositiveMass,
@@ -27,8 +27,7 @@ from lapcoarse.errors import (
     UnknownEndpoint,
     ValidationError,
 )
-from lapcoarse.graph import Graph, degrees
-from lapcoarse.kernels import _restricted_weights
+from lapcoarse.graph import Graph, degrees, transpose
 from lapcoarse.kernels import riesz_from_kernels
 
 EPS = np.finfo(float).eps
@@ -47,6 +46,13 @@ class SpectralGapCollapse(InvariantViolation):
 
 
 # -- graphs ------------------------------------------------------------------------
+
+
+def restricted_weights(graph: Graph, nodes: Iterable[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted ``nodes`` and the weights among them."""
+    order = sorted(nodes)
+    idx = [graph.index(v) for v in order]
+    return order, graph.weights[np.ix_(idx, idx)]
 
 
 def from_weight_matrix(nodes: tuple[str, ...], masses, weights) -> Graph:
@@ -157,7 +163,7 @@ def weight_vector_bruteforce(graph: Graph, nodes: Iterable[str]) -> dict[str, fl
     spanning out-tree gets exactly 0.0.  Guarded by the enumeration size
     limit.
     """
-    order, W = _restricted_weights(graph, nodes)
+    order, W = restricted_weights(graph, nodes)
     k = len(order)
     if k > ENUMERATION_LIMIT:
         raise ReachTooLargeForEnumeration(
@@ -219,7 +225,7 @@ def weight_vector_matrix(graph: Graph, nodes: Iterable[str]) -> dict[str, float]
     matrix with that node's row and column deleted.  O(k^4), and the
     determinants overflow on large heavy reaches.
     """
-    order, W = _restricted_weights(graph, nodes)
+    order, W = restricted_weights(graph, nodes)
     B = np.diag(W.sum(axis=1)) - W
     k = len(order)
     out: dict[str, float] = {}

@@ -30,6 +30,7 @@ TOL_BLOCKS = 1e-14           # block-form coarsening vs whole-matrix products, r
 TOL_LU_SOLVE = 0.0           # solve vs scipy's lu_factor + lu_solve: the same LAPACK calls
 TOL_HEAT_FLOOR = 10.0        # heat kernels: absolute floor, in units of eps (1 + t ||L_beta||_inf)
 TOL_EXACT = 1e-12            # resolvent differences vs the exact rational oracle, relative
+PEAK_COARSEN = 4.75          # tracemalloc peak of one coarsen call, in n x n arrays of doubles
 
 
 def sym_pairs(u: str, v: str):

@@ -2,15 +2,18 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
 
 import support as S
-from support import TOL_TRANSPORT
+from support import PEAK_COARSEN, TOL_TRANSPORT
 from lapcoarse.coarsen import (
     _aggregate_edges,
+    _background,
+    _background_laplacian,
     _cross_check,
     coarsen,
     probability_transport_check,
@@ -160,7 +163,7 @@ def test_structural_invariants_on_random_undirected_fixtures():
         # the closed-form basis is the in-degree one of the same edges
         basis = result.basis
         assert basis.kind == "in"
-        _check_basis(laplacian(cs.subgraph(), "in"), g.masses,
+        _check_basis(basis.cluster_block, g.masses,
                      basis.right, basis.left, basis.right, basis.split)
         directed = kernels_in(g, build_cluster_set(g, pairs, "directed"))
         assert sorted(directed.labels) == sorted(basis.labels)
@@ -293,7 +296,7 @@ def _nan_at(array, index):
 def _basis_gate(field):
     g = S.hub_pair()
     basis = kernels_in(g, S.hub_pair_cluster(g))
-    lap = laplacian(basis.cluster_set.subgraph(), "in")
+    lap = basis.cluster_block
     right, left = basis.right, basis.left
     if field == "right":
         right = _nan_at(right, (1, 1))
@@ -381,8 +384,7 @@ def test_basis_and_projector_gates_reject_entries_off_the_blocks(blocks_from, mo
     # on the blocks only the count of entries off them sees this one
     count = r"pairing and off-block entries 1\.0" if blocks_from == 0 else None
     with pytest.raises(KernelDefect, match=count):
-        lap = laplacian(basis.cluster_set.subgraph(), "in")
-        _check_basis(lap, g.masses, stray, basis.left, stray, basis.split)
+        _check_basis(basis.cluster_block, g.masses, stray, basis.left, stray, basis.split)
     with pytest.raises(ProjectorDefect, match="off-block entries 1"):
         riesz_from_kernels(dataclasses.replace(basis, right=stray))
 
@@ -439,6 +441,61 @@ def test_block_coarsening_equals_the_whole_matrix_products(mode, blocks_from, mo
         split = result.split
         off_unit += int(np.sum(split.diagonal(result.down.T) * split.diagonal(result.up) != 1.0))
     assert off_unit > 0
+
+
+@pytest.mark.parametrize("blocks_from", [0, None], ids=["blocks", "default"])
+def test_background_is_the_whole_background_or_its_rows(blocks_from, monkeypatch):
+    """What coarsening reads of the background, and its Laplacian, match the n x n ones.
+
+    Whole below the block threshold, where they are the whole arrays' to
+    the bit; the inside rows and the outside rows above it.
+    """
+    if blocks_from is not None:
+        kernels = importlib.import_module("lapcoarse.kernels")
+        monkeypatch.setattr(kernels, "_BLOCKS_FROM", blocks_from)
+    rng = np.random.default_rng(381)
+    for k in range(60):
+        undirected = k % 3 == 0
+        g = S.random_graph(rng, max_nodes=30, undirected=undirected)
+        pairs = S.random_cluster_pairs(rng, g, undirected=undirected)
+        cs = build_cluster_set(g, pairs, "undirected" if undirected else "directed")
+        background = cs.background()
+        for mode in ["undirected"] if undirected else ["in", "out"]:
+            split = coarsen(g, cs, mode).basis.split
+            assert split.whole == (blocks_from is None)
+            kind = "out" if mode == "out" else "in"
+            whole = laplacian(background, kind)
+            lap = _background_laplacian(_background(g, cs, split), g.masses, split, kind)
+            if split.whole:
+                assert np.array_equal(_background(g, cs, split), background.weights)
+                assert np.array_equal(lap, whole)
+                continue
+            parts = (split.inside, split.outside)
+            for rows, nodes in zip(_background(g, cs, split), parts):
+                assert np.array_equal(rows, background.weights[nodes])
+            for rows, nodes in zip(lap, parts):
+                scale = np.abs(whole[nodes]).max(initial=1.0)
+                assert np.abs(rows - whole[nodes]).max(initial=0.0) <= S.TOL_BLOCKS * scale
+
+
+@pytest.mark.parametrize("mode", ["undirected", "in", "out"])
+def test_coarsening_copies_no_whole_graph(mode):
+    """The peak of one call stays below a count of n x n arrays of doubles.
+
+    Reading the cluster subgraph from its cells and the background by its
+    rows keeps out the whole subgraphs, backgrounds and Laplacians, two to
+    five of them per call (5.5 to 6.9 such arrays at the peak on this graph).
+    """
+    g, cs = S.cycles_with_background(371, 300, (5, 12, 30, 60, 43), mode)
+    coarsen(g, cs, mode)  # caches made once, such as the transposed reaches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        coarsen(g, cs, mode)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= PEAK_COARSEN * 8 * g.n ** 2
 
 
 def test_result_split_follows_the_reduced_node_order():

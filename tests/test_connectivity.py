@@ -18,7 +18,7 @@ from lapcoarse.errors import (
     UnknownEdge,
     UnknownNode,
 )
-from lapcoarse.graph import build_graph, is_undirected, transpose
+from lapcoarse.graph import build_graph, is_undirected, restrict_edges, transpose
 from oracles import components_by_union_find, reachable_set, transpose_cluster_set
 
 
@@ -276,3 +276,27 @@ def test_cluster_cells_list_the_edges_and_tell_whether_they_are_symmetric():
     # both orientations are cluster edges, with weights 7 and 11
     assert not S.hub_pair_cluster(S.hub_pair()).symmetric
     assert 0.2 < np.mean(answers) < 0.8
+
+
+def test_cell_decompositions_equal_the_searches_of_whole_graphs():
+    """Both decompositions read from the cells are those of the whole n x n graphs, in order."""
+    rng = np.random.default_rng(351)
+    cases = []
+    for k in range(240):
+        undirected = k % 3 == 0
+        g = S.random_graph(rng, max_nodes=int(rng.integers(2, 24)), undirected=undirected)
+        pairs = S.random_cluster_pairs(rng, g, undirected=undirected)
+        cases.append((g, pairs, "undirected" if undirected else "directed"))
+        cases.append((g, [], "directed"))
+    for mode in ("undirected", "in"):
+        g, cs = S.cycles_with_background(352, 200, (5, 12, 30), mode)
+        cases.append((g, sorted(cs.total_edges), cs.mode))
+    common = split = 0
+    for g, pairs, mode in cases:
+        cs = build_cluster_set(g, pairs, mode)
+        forward = reaches(restrict_edges(g, pairs))
+        assert cs.decomposition == forward
+        assert cs.transposed_decomposition == reaches(transpose(cs.subgraph()))
+        common += any(reach.common for reach in forward)
+        split += cs.transposed_decomposition != forward
+    assert common > 30 and split > 30

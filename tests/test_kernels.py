@@ -17,6 +17,7 @@ from oracles import (
     gth_null_vector_sequential,
     left_kernel_in,
     principal_angle_gap,
+    restricted_weights,
     right_kernel_in,
     svd_nullspace,
     weight_vector_bruteforce,
@@ -257,7 +258,7 @@ def test_symmetric_cabals_get_the_gth_vector_in_closed_form(kind):
         for col, reach in enumerate(basis.decomposition):
             if len(reach.cabal) == 1:
                 continue
-            order, W = kernels._restricted_weights(sub, reach.cabal)
+            order, W = restricted_weights(sub, reach.cabal)
             assert np.array_equal(W, W.T)
             idx = [g.index(v) for v in order]
             want = kernels._gth_null_vector(W)
@@ -492,7 +493,7 @@ def loop_tree_vectors(sub, dec):
     """Reference: one GTH null vector per reach, one-node cabals included."""
     cols = []
     for reach in dec:
-        order, W = kernels._restricted_weights(sub, reach.cabal)
+        order, W = restricted_weights(sub, reach.cabal)
         vec = np.zeros(sub.n)
         vec[[sub.index(v) for v in order]] = kernels._gth_null_vector(W)
         cols.append(vec / float(vec @ sub.masses))
@@ -511,11 +512,12 @@ def test_one_node_reaches_fill_the_same_columns_as_the_loop():
         for side, dec in ((sub, cs.decomposition), (sub_t, reaches(sub_t))):
             lap = laplacian(side, "in")
             assert np.array_equal(
-                kernels._indicator_vectors(lap, dec, index),
+                kernels._indicator_vectors(lap, dec, index, np.arange(g.n)),
                 loop_indicator_vectors(lap, dec, index),
             )
             assert np.array_equal(
-                kernels._tree_vectors(side, dec, index), loop_tree_vectors(side, dec)
+                kernels._tree_vectors(side.weights, side.masses, dec, index, np.arange(g.n)),
+                loop_tree_vectors(side, dec),
             )
             singles += sum(len(reach.nodes) == 1 for reach in dec)
     assert singles > 100
@@ -538,3 +540,40 @@ def test_builders_reject_a_cluster_set_of_another_graph(build):
         build(g1, cs2)
     # an equal graph built separately is the same graph
     assert np.array_equal(build(S.triangle(), cs1).left, build(g1, cs1).left)
+
+
+def test_cluster_block_equals_the_block_of_the_whole_laplacian():
+    """Scattered from the cells, the block equals the n x n Laplacian's to the bit.
+
+    The clusters lie on a random half of the nodes, so the rows of the block
+    are the whole rows with zeros taken out: a plain sum over a block row
+    rounds differently from the whole row's on some of them.
+    """
+    rng = np.random.default_rng(361)
+    rounded_apart = 0
+    for k in range(90):
+        undirected = k % 3 == 0
+        g = S.random_graph(rng, max_nodes=60, undirected=undirected, weight_range=(0.1, 10.0))
+        half = {v for v in g.nodes if rng.random() < 0.5}
+        pairs = [(s, d) for s, d in S.random_cluster_pairs(rng, g, undirected=undirected)
+                 if s in half and d in half]
+        if undirected:
+            cs = build_cluster_set(g, pairs, "undirected")
+            bases = [kernels_undirected(g, cs)]
+        else:
+            cs = build_cluster_set(g, pairs, "directed")
+            bases = [kernels_in(g, cs), kernels_out(g, cs)]
+        sub = cs.subgraph()
+        for basis in bases:
+            inside = basis.split.inside
+            want = laplacian(sub, basis.kind)[np.ix_(inside, inside)]
+            assert np.array_equal(basis.cluster_block, want)
+            assert not basis.cluster_block.flags.writeable
+        inside = bases[-1].split.inside
+        weights = kernels._cluster_weights(cs, inside)
+        rounded_apart += int(np.sum(weights.sum(axis=1) != sub.weights.sum(axis=1)[inside]))
+        if not undirected:
+            # the transposed block, from which mode out solves its common parts
+            block = kernels._cluster_laplacian(np.ascontiguousarray(weights.T), g, inside, "in")
+            assert np.array_equal(block, laplacian(transpose(sub), "in")[np.ix_(inside, inside)])
+    assert rounded_apart > 10
